@@ -1,20 +1,30 @@
 """Canonical forms for tiny graphs, switching classes, switching equivalence.
 
 The canonical form is the lexicographically smallest upper-triangle bit
-encoding over all vertex relabelings.  Instead of trying all n! orders, the
-search refines a vertex coloring (degree, then iterated neighbor-color
-multisets) and branches only inside non-singleton color cells; the minimum
-over the leaves of that individualization tree is relabeling-invariant.
+encoding over the leaves of an individualization-refinement tree, not over
+all n! vertex relabelings (the two minima differ on 190 of the 207 graphs
+with 2 to 6 vertices).  The search refines a vertex coloring (degree, then
+iterated neighbor-color multisets) and branches only inside the first
+non-singleton color cell; since refinement commutes with relabeling, the set
+of leaf codes, and so its minimum, is relabeling-invariant.
+
+Twins are pruned: when u and v share a cell and N(u) - v == N(v) - u, the
+transposition (u v) is an automorphism fixing every individualized vertex,
+so the subtree below v holds the same leaf codes as the one below u, and
+only one vertex per twin class of the target cell is branched on.  This
+keeps edgeless, complete and complete multipartite graphs at a handful of
+leaves instead of n! of them.
 Capped at n <= 10: nothing in this artifact needs isomorphism beyond that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import SizeMismatch, TooLarge
 from .graph import Graph, VertexSet, bits_of, switch
+from .patterns import cycle_graph
 
 CANONICAL_CAP = 10
 
@@ -70,7 +80,12 @@ def _canonical_code(g: Graph) -> int:
             if best[0] is None or code < best[0]:
                 best[0] = code
             return
+        tried: list[int] = []
         for v in target:
+            rv = rows[v]
+            if any(rows[u] & ~(1 << v) == rv & ~(1 << u) for u in tried):
+                continue  # a twin of a tried vertex: same leaf codes
+            tried.append(v)
             branched = [c + 1 for c in colors]
             branched[v] = 0
             descend(branched)
@@ -80,11 +95,14 @@ def _canonical_code(g: Graph) -> int:
     return best[0]
 
 
+def _form(g: Graph) -> CanonicalForm:
+    nbits = g.n * (g.n - 1) // 2
+    return bytes([g.n]) + _canonical_code(g).to_bytes((nbits + 7) // 8 or 1, "big")
+
+
 @lru_cache(maxsize=1 << 18)
 def _canonical_cached(n: int, rows: tuple[int, ...]) -> CanonicalForm:
-    code = _canonical_code(Graph(n, rows))
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + code.to_bytes((nbits + 7) // 8 or 1, "big")
+    return _form(Graph(n, rows))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -138,7 +156,8 @@ def switching_class(g: Graph) -> SwitchingClass:
     """Enumerate S(G): one representative per isomorphism class of switches.
 
     Only subsets avoiding vertex 0 are switched; S(G,A) = S(G,V\\A) makes the
-    rest redundant.
+    rest redundant.  The switches are pairwise distinct labelled graphs, so
+    their forms bypass the canonical-form cache, which they would only fill.
     """
     if g.n > CANONICAL_CAP:
         raise TooLarge(f"switching class capped at n <= {CANONICAL_CAP}, got {g.n}")
@@ -146,10 +165,14 @@ def switching_class(g: Graph) -> SwitchingClass:
     top = 1 << max(g.n - 1, 0)
     for half in range(top):
         s = switch(g, half << 1)
-        form = canonical_form(s)
-        if form not in members:
-            members[form] = s
+        members.setdefault(_form(s), s)
     return SwitchingClass(g.n, members)
+
+
+@cache
+def c5_switching_forms() -> frozenset[CanonicalForm]:
+    """Forms of S(C5): the switches of the five-cycle, up to isomorphism."""
+    return frozenset(switching_class(cycle_graph(5)).members)
 
 
 def are_switching_equivalent(g: Graph, h: Graph) -> bool:

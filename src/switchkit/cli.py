@@ -4,11 +4,17 @@ Graphs stream in as graph6 (one per line) on stdin or via --file; --format
 edges switches to the "n m" / "u v" edge-list format (single graph).  Exit
 codes: 0 decided yes (or plain success), 1 decided no, 2 usage error,
 3 size cap or search budget hit.  --json emits one JSON object per graph.
+
+Graphs are answered one line at a time.  A line that does not parse, or a
+graph that hits a size cap or search budget, is reported on stderr (under
+--json as an {"error", "line"} record in its place on stdout), the lines
+after it are still answered, and the exit code is the worst one seen.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Callable, Iterable
@@ -44,15 +50,31 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
 
-def _read_graphs(args) -> list[Graph]:
-    if args.file:
-        with open(args.file) as fh:
-            text = fh.read()
+def _answer_each(args, answer: Callable[[Graph], int]) -> int:
+    """Feed each input graph to ``answer`` as its line arrives; worst exit code."""
+    edges = args.format == "edges"
+    worst = EXIT_YES
+    with open(args.file) if args.file else contextlib.nullcontext(sys.stdin) as fh:
+        lines = [(1, fh.read())] if edges else enumerate(fh, 1)
+        for lineno, text in lines:
+            if not edges and not text.strip():
+                continue
+            try:
+                code = answer(parse_edge_list(text) if edges else parse_graph6(text))
+            except (TooLarge, BudgetExceeded) as exc:
+                code = _report(args, lineno, exc, EXIT_CAPPED)
+            except (SwitchkitError, ValueError, IndexError) as exc:
+                code = _report(args, lineno, exc, EXIT_USAGE)
+            worst = max(worst, code)
+    return worst
+
+
+def _report(args, lineno: int, exc: Exception, code: int) -> int:
+    if args.json:
+        print(json.dumps({"error": str(exc), "line": lineno}, sort_keys=True))
     else:
-        text = sys.stdin.read()
-    if getattr(args, "format", "g6") == "edges":
-        return [parse_edge_list(text)]
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        print(f"error: line {lineno}: {exc}", file=sys.stderr)
+    return code
 
 
 def _parse_set(spec: str, n: int) -> VertexSet:
@@ -97,24 +119,32 @@ def _named_predicate(name: str, p: int, q: int) -> Callable[[Graph], bool]:
 
 
 def _cmd_switch(args) -> int:
-    for g in _read_graphs(args):
+    def answer(g: Graph) -> int:
         out = emit_graph6(switch(g, _parse_set(args.set, g.n)))
         _emit(args, {"graph6": out}, out)
-    return EXIT_YES
+        return EXIT_YES
+
+    return _answer_each(args, answer)
 
 
 def _cmd_class(args) -> int:
-    for g in _read_graphs(args):
+    def answer(g: Graph) -> int:
         members = switching_class(g)
         lines = [emit_graph6(members.members[f]) for f in sorted(members.members)]
         _emit(args, {"size": len(lines), "members": lines}, "\n".join(lines))
-    return EXIT_YES
+        return EXIT_YES
+
+    return _answer_each(args, answer)
+
+
+def _verdict(yes: bool) -> int:
+    return EXIT_YES if yes else EXIT_NO
 
 
 def _cmd_lower(args) -> int:
     class_id = LowerClassId(args.class_id)
-    all_yes = True
-    for g in _read_graphs(args):
+
+    def answer(g: Graph) -> int:
         if args.oracle:
             verdict = oracle_lower(g, direct_class_test(class_id))
         else:
@@ -128,8 +158,9 @@ def _cmd_lower(args) -> int:
             obj["profile"] = list(profile)
             text += " " + "(" + ",".join(map(str, profile)) + ")"
         _emit(args, obj, text)
-        all_yes &= verdict
-    return EXIT_YES if all_yes else EXIT_NO
+        return _verdict(verdict)
+
+    return _answer_each(args, answer)
 
 
 def _upper_algorithm(args) -> Callable[[Graph], VertexSet | None]:
@@ -150,19 +181,18 @@ def _upper_algorithm(args) -> Callable[[Graph], VertexSet | None]:
 
 
 def _cmd_upper(args) -> int:
-    all_yes = True
-    for g in _read_graphs(args):
+    if args.enumerate and args.klass not in ("split", "pseudo-split"):
+        raise SwitchkitError("--enumerate supports split and pseudo-split")
+
+    def answer(g: Graph) -> int:
         if args.enumerate:
             if args.klass == "split":
                 sols = enumerate_upper_split(g)
-            elif args.klass == "pseudo-split":
-                sols = enumerate_upper_pseudo_split(g)
             else:
-                raise SwitchkitError("--enumerate supports split and pseudo-split")
+                sols = enumerate_upper_pseudo_split(g)
             text = "\n".join(_fmt_set(s) for s in sols) if sols else "none"
             _emit(args, {"solutions": [sorted(s) for s in sols]}, text)
-            all_yes &= bool(sols)
-            continue
+            return _verdict(bool(sols))
         if args.oracle:
             pred = _named_predicate(args.klass, args.p, args.q)
             witness = oracle_upper(g, pred)
@@ -172,14 +202,15 @@ def _cmd_upper(args) -> int:
         if witness is not None:
             obj["witness"] = sorted(witness)
         _emit(args, obj, _fmt_set(witness))
-        all_yes &= witness is not None
-    return EXIT_YES if all_yes else EXIT_NO
+        return _verdict(witness is not None)
+
+    return _answer_each(args, answer)
 
 
 def _cmd_oracle(args) -> int:
     pred = _named_predicate(args.predicate, args.p, args.q)
-    all_yes = True
-    for g in _read_graphs(args):
+
+    def answer(g: Graph) -> int:
         if args.direction == "upper":
             witness = oracle_upper(g, pred)
             verdict = witness is not None
@@ -190,8 +221,9 @@ def _cmd_oracle(args) -> int:
         else:
             verdict = oracle_lower(g, pred)
             _emit(args, {"direction": "lower", "holds": verdict}, "yes" if verdict else "no")
-        all_yes &= verdict
-    return EXIT_YES if all_yes else EXIT_NO
+        return _verdict(verdict)
+
+    return _answer_each(args, answer)
 
 
 def _cmd_reduce(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import canonical_form, switching_class
+from .canonical import c5_switching_forms, canonical_form
 from .errors import TooLarge
 from .graph import Graph, VertexSet, bits_of, complement, induced, switch
 from .oracle import ORACLE_CAP, normalize_mask, oracle_upper
@@ -125,8 +125,6 @@ def enumerate_upper_split(g: Graph) -> list[VertexSet]:
 # -- pseudo-split --------------------------------------------------------
 
 
-_C5_FORM: bytes | None = None
-_SC5_FORMS: set[bytes] | None = None
 _orientation_cache: dict[tuple[int, ...], list[int]] = {}
 
 
@@ -136,17 +134,14 @@ def _c5_orientations(gh: Graph) -> list[int]:
     These are exactly the admissible "switch-back" sides of a switching
     equivalent of C5; the complement-of-B choice is covered elsewhere.
     """
-    global _C5_FORM, _SC5_FORMS
-    if _C5_FORM is None:
-        _C5_FORM = canonical_form(cycle_graph(5))
-        _SC5_FORMS = switching_class(cycle_graph(5)).forms()
     key = gh.rows
     got = _orientation_cache.get(key)
     if got is None:
         got = []
-        if canonical_form(gh) in _SC5_FORMS:
+        if canonical_form(gh) in c5_switching_forms():
+            c5 = canonical_form(cycle_graph(5))
             for b in range(32):
-                if bin(b).count("1") >= 3 and canonical_form(switch(gh, b)) == _C5_FORM:
+                if bin(b).count("1") >= 3 and canonical_form(switch(gh, b)) == c5:
                     got.append(b)
         _orientation_cache[key] = got
     return got

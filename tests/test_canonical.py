@@ -1,6 +1,8 @@
 """Canonical forms, switching classes, switching equivalence."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -13,8 +15,27 @@ from switchkit.canonical import (
 )
 from switchkit.errors import SizeMismatch, TooLarge
 from switchkit.graph import Graph, switch
-from switchkit.patterns import complete_graph, cycle_graph, path_graph, pattern
+from switchkit.patterns import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    pattern,
+)
 from switchkit.profiles import profile_graph
+from tests.conftest import random_graph
+
+# sha256 over the concatenated forms of every atlas graph of order <= 7 and
+# 180 seeded random graphs of order 8-10 (see test_golden_digest), as the
+# unpruned search produced them: pruning the search must not change a byte.
+GOLDEN_DIGEST = "3d8894d5f7096299376df47e62e723287ce5a36395c150813475603c08c32b22"
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+)
 
 
 def all_labeled(n: int):
@@ -53,6 +74,35 @@ class TestCanonicalForm:
         with pytest.raises(TooLarge):
             canonical_form(Graph.empty(11))
 
+    def test_golden_digest(self, graphs_up_to_7):
+        rng = random.Random(2403)
+        randoms = [
+            random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            for n in (8, 9, 10)
+            for _ in range(60)
+        ]
+        digest = hashlib.sha256()
+        for g in graphs_up_to_7 + randoms:
+            digest.update(canonical_form(g))
+        assert digest.hexdigest() == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.empty(10),
+            complete_graph(10),
+            complete_bipartite_graph(5, 5),
+            PETERSEN,
+            cycle_graph(10),
+        ],
+        ids=["edgeless", "k10", "k5,5", "petersen", "c10"],
+    )
+    def test_symmetric_order_10_relabeled(self, g):
+        perm = list(range(g.n))
+        random.Random(g.edge_count()).shuffle(perm)
+        relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert canonical_form(relabeled) == canonical_form(g)
+
 
 class TestSwitchingClass:
     def test_c4(self):
@@ -84,6 +134,9 @@ class TestSwitchingClass:
         for rep in cls.representatives():
             for amask in range(1 << 4):
                 assert canonical_form(switch(rep, amask << 1)) in forms
+
+    def test_edgeless_10(self):
+        assert len(switching_class(Graph.empty(10))) == 6
 
     def test_order_4_partition_sizes(self):
         reps = {}

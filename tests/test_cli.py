@@ -47,6 +47,11 @@ def test_class_c4():
     assert len(lines) == 3
 
 
+def test_class_edgeless_10():
+    code, out, _ = cli(["class"], "I????????\n")
+    assert code == 0 and len(out.splitlines()) == 6
+
+
 def test_upper_split_yes_and_witness():
     code, out, _ = cli(["upper", "split"], C4)
     assert code == 0
@@ -139,6 +144,31 @@ def test_usage_error():
 def test_malformed_graph6():
     code, _, err = cli(["upper", "split"], "this is not graph6")
     assert code == 2
+
+
+def test_bad_line_keeps_stream_going():
+    code, out, err = cli(["lower", "chordal"], "Cl\n!!bad\nCh\n")
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == ["no", "yes"]
+    assert "line 2" in err
+
+
+def test_bad_line_json_record():
+    code, out, _ = cli(["lower", "chordal", "--json"], "Cl\n!!bad\nCh\n")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [set(r) for r in rows] == [{"class", "member"}, {"error", "line"}, {"class", "member", "profile"}]
+    assert rows[1]["line"] == 2
+
+
+def test_cap_hit_in_stream_is_worst_code():
+    from switchkit.graph import Graph
+
+    stream = "\n".join([C4, emit_graph6(Graph.empty(11)), "!!bad", C5]) + "\n"
+    code, out, err = cli(["class"], stream)
+    assert code == 3
+    assert len(out.split()) == 3 + 4
+    assert "line 2" in err and "line 3" in err
 
 
 def test_patterns_listing_and_lookup():

@@ -22,7 +22,7 @@ from switchkit.patterns import (
     path_graph,
     pattern,
 )
-from switchkit.profiles import concrete_profile, profile_graph
+from switchkit.profiles import profile_graph
 from switchkit.reference import is_bipartite, is_line_graph
 from switchkit.search import is_free
 
@@ -128,18 +128,9 @@ class TestLineLower:
         assert is_line_lower(profile_graph((1, 2, 1, 1)))
         assert not is_line_lower(pattern("claw"))
 
-    def test_known_divergence_from_oracle(self, graphs_up_to_7):
-        """The closed-form list misses exactly one class up to n=7: (1,2,2).
-
-        Every switch of (1,2,2) is a line graph (cross-checked by root-graph
-        search), so the published profile list is incomplete there; the
-        recognizer follows the list, and this test pins the divergence.
-        """
-        diverging = set()
+    def test_oracle_equivalence_up_to_7(self, graphs_up_to_7):
         for g in graphs_up_to_7:
-            if is_line_lower(g) != oracle_lower(g, is_line_graph):
-                diverging.add(concrete_profile(g))
-        assert diverging == {(1, 2, 2)}
+            assert is_line_lower(g) == oracle_lower(g, is_line_graph), g.edges()
 
 
 class TestOuterplanarLower:
