@@ -24,6 +24,7 @@ from functools import cache, lru_cache
 
 from .errors import SizeMismatch, TooLarge
 from .graph import Graph, VertexSet, bits_of, switch
+from .oracle import oracle_upper
 from .patterns import cycle_graph
 
 CANONICAL_CAP = 10
@@ -176,18 +177,28 @@ def c5_switching_forms() -> frozenset[CanonicalForm]:
 
 
 def are_switching_equivalent(g: Graph, h: Graph) -> bool:
+    """Whether h is isomorphic to some switch of g.
+
+    By vertex isolation (Colbourn & Corneil 1980): switching at N(v)
+    isolates v, and each labelled switching class holds exactly one graph
+    with v isolated, so g ~ h iff g isolated at vertex 0 is isomorphic to h
+    isolated at some vertex w.  That takes n + 1 canonical forms, not the
+    2^(n-1) switches of the whole class.
+    """
     if g.n != h.n:
         raise SizeMismatch(f"orders differ: {g.n} vs {h.n}")
     if g.n > CANONICAL_CAP:
         raise TooLarge(f"switching equivalence capped at n <= {CANONICAL_CAP}")
-    return canonical_form(h) in switching_class(g).forms()
+    if g.n == 0:
+        return True
+    target = canonical_form(switch(g, g.rows[0]))
+    return any(canonical_form(switch(h, row)) == target for row in h.rows)
 
 
 def switching_witness(g: Graph, h: Graph) -> VertexSet | None:
-    """Some A with S(g, A) == h exactly (not up to isomorphism), else None."""
+    """The A avoiding vertex 0 with S(g, A) == h exactly (not up to
+    isomorphism), else None.  It is unique, since S(g, A) == S(g, B) only
+    when B is A or V - A."""
     if g.n != h.n:
         raise SizeMismatch(f"orders differ: {g.n} vs {h.n}")
-    for amask in range(1 << max(g.n - 1, 0)):
-        if switch(g, amask << 1) == h:
-            return VertexSet(g.n, amask << 1)
-    return None
+    return oracle_upper(g, h.__eq__)

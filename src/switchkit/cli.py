@@ -19,30 +19,17 @@ import json
 import sys
 from typing import Callable, Iterable
 
+from .canonical import switching_class
 from .errors import BudgetExceeded, SwitchkitError, TooLarge
 from .graph import Graph, VertexSet, switch
 from .graphio import emit_graph6, parse_edge_list, parse_graph6
-from .lower import LowerClassId, direct_class_test, is_c0_member, recognize_lower
-from .nae import parse_nae
+from .lower import LowerClassId, is_c0_member, lower_classes, recognize_lower
+from .nae import nae_eval, parse_nae
 from .oracle import oracle_lower, oracle_upper
 from .patterns import pattern, pattern_names
 from .reductions import build_c7_instance, build_p10_instance, verify_instance
 from .search import DEFAULT_BUDGET, PatternFamily, is_family_free
-from .canonical import switching_class
-from .reference import is_bipartite, is_complete_multipartite, is_triangle_free, is_paw_free
-from .split import is_pseudo_split, is_split
-from .upper import (
-    enumerate_upper_pseudo_split,
-    enumerate_upper_split,
-    is_bipartite_chain,
-    star_costar_free,
-    upper_bipartite,
-    upper_bipartite_chain,
-    upper_paw_free,
-    upper_pseudo_split,
-    upper_split,
-    upper_star_costar,
-)
+from .upper import upper_classes
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -96,22 +83,10 @@ def _emit(args, obj: dict, text: str) -> None:
         print(text)
 
 
-UPPER_PREDICATES: dict[str, Callable[[Graph], bool]] = {
-    "split": is_split,
-    "pseudo-split": is_pseudo_split,
-    "paw-free": is_paw_free,
-    "triangle-free": is_triangle_free,
-    "complete-multipartite": is_complete_multipartite,
-    "bipartite": is_bipartite,
-    "bipartite-chain": is_bipartite_chain,
-}
-
-
 def _named_predicate(name: str, p: int, q: int) -> Callable[[Graph], bool]:
-    if name in UPPER_PREDICATES:
-        return UPPER_PREDICATES[name]
-    if name == "star-costar":
-        return lambda g: star_costar_free(g, p, q)
+    upper = upper_classes(p, q)
+    if name in upper:
+        return upper[name].predicate
     if name.startswith("free:"):
         fam = PatternFamily([pattern(tok) for tok in name[5:].split(",")])
         return lambda g: is_family_free(g, fam)
@@ -146,7 +121,7 @@ def _cmd_lower(args) -> int:
 
     def answer(g: Graph) -> int:
         if args.oracle:
-            verdict = oracle_lower(g, direct_class_test(class_id))
+            verdict = oracle_lower(g, lower_classes()[class_id].base)
         else:
             verdict = recognize_lower(g, class_id)
         profile = None
@@ -163,41 +138,25 @@ def _cmd_lower(args) -> int:
     return _answer_each(args, answer)
 
 
-def _upper_algorithm(args) -> Callable[[Graph], VertexSet | None]:
-    name = args.klass
-    if name == "split":
-        return upper_split
-    if name == "pseudo-split":
-        return upper_pseudo_split
-    if name == "paw-free":
-        return upper_paw_free
-    if name == "bipartite":
-        return upper_bipartite
-    if name == "bipartite-chain":
-        return upper_bipartite_chain
-    if name == "star-costar":
-        return lambda g: upper_star_costar(g, args.p, args.q)
-    raise SwitchkitError(f"unknown upper class {name!r}")
+def _enumerable() -> list[str]:
+    return [name for name, entry in upper_classes().items() if entry.enumerator]
 
 
 def _cmd_upper(args) -> int:
-    if args.enumerate and args.klass not in ("split", "pseudo-split"):
-        raise SwitchkitError("--enumerate supports split and pseudo-split")
+    entry = upper_classes(args.p, args.q)[args.klass]
+    if args.enumerate and entry.enumerator is None:
+        raise SwitchkitError(f"--enumerate supports {' and '.join(_enumerable())}")
 
     def answer(g: Graph) -> int:
         if args.enumerate:
-            if args.klass == "split":
-                sols = enumerate_upper_split(g)
-            else:
-                sols = enumerate_upper_pseudo_split(g)
+            sols = entry.enumerator(g)
             text = "\n".join(_fmt_set(s) for s in sols) if sols else "none"
             _emit(args, {"solutions": [sorted(s) for s in sols]}, text)
             return _verdict(bool(sols))
         if args.oracle:
-            pred = _named_predicate(args.klass, args.p, args.q)
-            witness = oracle_upper(g, pred)
+            witness = oracle_upper(g, entry.predicate)
         else:
-            witness = _upper_algorithm(args)(g)
+            witness = entry.algorithm(g)
         obj = {"class": args.klass, "switchable": witness is not None}
         if witness is not None:
             obj["witness"] = sorted(witness)
@@ -226,10 +185,15 @@ def _cmd_oracle(args) -> int:
     return _answer_each(args, answer)
 
 
+def _read_instance(args):
+    """The target's instance of the NAE formula read from --file or stdin."""
+    with open(args.file) if args.file else contextlib.nullcontext(sys.stdin) as fh:
+        formula = parse_nae(fh.read())
+    return (build_p10_instance if args.target == "p10" else build_c7_instance)(formula)
+
+
 def _cmd_reduce(args) -> int:
-    text = open(args.file).read() if args.file else sys.stdin.read()
-    formula = parse_nae(text)
-    inst = build_p10_instance(formula) if args.target == "p10" else build_c7_instance(formula)
+    inst = _read_instance(args)
     g6 = emit_graph6(inst.graph)
     roles = inst.roles()
     if args.roles:
@@ -243,14 +207,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text = open(args.file).read() if args.file else sys.stdin.read()
-    formula = parse_nae(text)
-    inst = build_p10_instance(formula) if args.target == "p10" else build_c7_instance(formula)
+    inst = _read_instance(args)
     assignment = tuple(tok.strip() in ("1", "true", "T") for tok in args.assign.split(","))
     free = verify_instance(inst, assignment, budget=args.budget)
-    from .nae import nae_eval
-
-    agrees = free == nae_eval(formula, assignment)
+    agrees = free == nae_eval(inst.formula, assignment)
     _emit(
         args,
         {"pattern_free": free, "matches_nae": agrees},
@@ -290,28 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("lower", help="lower switching class membership")
-    p.add_argument("class_id", choices=[c.value for c in LowerClassId])
+    p.add_argument("class_id", choices=[c.value for c in lower_classes()])
     p.add_argument("--oracle", action="store_true", help="brute-force cross-check mode")
     common(p)
     p.set_defaults(func=_cmd_lower)
 
     p = sub.add_parser("upper", help="upper switching class recognition")
-    p.add_argument(
-        "klass",
-        metavar="class",
-        choices=("split", "pseudo-split", "paw-free", "star-costar", "bipartite", "bipartite-chain"),
-    )
+    upper = upper_classes()
+    p.add_argument("klass", metavar="class", choices=[n for n, c in upper.items() if c.algorithm])
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--enumerate", action="store_true", help="list all solutions (split/pseudo-split)")
+    p.add_argument("--enumerate", action="store_true", help=f"list all solutions ({'/'.join(_enumerable())})")
     p.add_argument("--oracle", action="store_true", help="brute-force cross-check mode")
     common(p)
     p.set_defaults(func=_cmd_upper)
 
     p = sub.add_parser("oracle", help="brute-force oracle with a named predicate")
     p.add_argument("direction", choices=("upper", "lower"))
-    p.add_argument("predicate", help="split|pseudo-split|paw-free|triangle-free|"
-                   "complete-multipartite|bipartite|bipartite-chain|star-costar|free:<p1,p2,...>")
+    p.add_argument("predicate", help="|".join([*upper, "free:<p1,p2,...>"]))
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
     common(p)

@@ -1,21 +1,30 @@
-"""Recognizers for the lower switching classes.
+"""Recognizers for the lower switching classes, and the table of them.
 
-Family-backed ids test freeness against the switching expansion of a tiny
-forbidden family (cached once per id).  The chordal-family, block and line
-recognizers match the closed-form clique-path profiles; outerplanar checks
-every switch against the forbidden minors.
+The lower class of a hereditary class 𝒢 is its largest switching-closed
+subclass: the graphs whose every switch lies in 𝒢.  ``lower_classes()`` is
+the one table of the classes switchkit knows, keyed by ``LowerClassId``.
+Each entry holds the base-class predicate 𝒢 (the oracle cross-check runs it
+on every switch), the recognizer, and for family-defined classes the seeds of
+the forbidden family.  A family-defined class is recognized by freeness from
+the switching expansion of its seeds (cached once per id).  The
+chordal-family, block and line recognizers match the closed-form clique-path
+profiles; outerplanar checks every switch against the forbidden minors.  The
+CLI class names, --oracle, ``recognize_lower`` and ``FAMILY_DEFINED`` all
+read this table.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .canonical import c5_switching_forms, canonical_form
-from .graph import Graph, complement, switch
+from .graph import Graph, complement
+from .oracle import Predicate, oracle_lower
 from .patterns import cycle_graph, pattern
 from .profiles import Profile, ProfileEntry, match_profile_family
 from .reference import (
+    is_bipartite,
     is_block_graph,
     is_chordal,
     is_co_comparability,
@@ -45,39 +54,6 @@ class LowerClassId(Enum):
     LINE = "line"
     OUTERPLANAR = "outerplanar"
     THRESHOLD = "threshold"
-
-
-def _co_c6() -> Graph:
-    return complement(cycle_graph(6))
-
-
-_FAMILY_SEEDS: dict[LowerClassId, Callable[[], list[Graph]]] = {
-    LowerClassId.WEAKLY_CHORDAL: lambda: [cycle_graph(5), cycle_graph(6), _co_c6()],
-    LowerClassId.PERMUTATION: lambda: [cycle_graph(5), cycle_graph(6), _co_c6()],
-    LowerClassId.COMPARABILITY: lambda: [cycle_graph(5), _co_c6()],
-    LowerClassId.CO_COMPARABILITY: lambda: [cycle_graph(5), cycle_graph(6)],
-    LowerClassId.DISTANCE_HEREDITARY: lambda: [
-        pattern("domino"),
-        pattern("house"),
-        cycle_graph(5),
-        cycle_graph(6),
-    ],
-    LowerClassId.MEYNIEL: lambda: [cycle_graph(5), pattern("house")],
-}
-
-FAMILY_DEFINED = tuple(_FAMILY_SEEDS)
-
-_family_cache: dict[LowerClassId, PatternFamily] = {}
-
-
-def lower_family(class_id: LowerClassId) -> PatternFamily:
-    """The switching-expanded forbidden family for a family-defined id."""
-    fam = _family_cache.get(class_id)
-    if fam is None:
-        seeds = _FAMILY_SEEDS[class_id]()
-        fam = expand_switch_family(seeds)
-        _family_cache[class_id] = fam
-    return fam
 
 
 # the eight clique-path families of the lower {C4,C5,C6}-free class
@@ -152,46 +128,73 @@ def is_line_lower(g: Graph) -> bool:
 
 def is_lower_outerplanar(g: Graph) -> bool:
     """Every switch must avoid K4 and K_{2,3} minors; impossible past n=5."""
-    if g.n > 5:
-        return False
-    for half in range(1 << max(g.n - 1, 0)):
-        if not is_outerplanar(switch(g, half << 1)):
-            return False
-    return True
+    return g.n <= 5 and oracle_lower(g, is_outerplanar)
+
+
+# -- the table ---------------------------------------------------------------
+
+
+def _co_c6() -> Graph:
+    return complement(cycle_graph(6))
+
+
+class LowerClass(NamedTuple):
+    base: Predicate  # the class 𝒢 whose lower class this is
+    recognize: Predicate | None = None  # None: free of the expanded seeds
+    seeds: Callable[[], list[Graph]] | None = None  # family-defined classes
+
+
+def lower_classes() -> dict[LowerClassId, LowerClass]:
+    """The lower-class table.
+
+    Built on each call, so its functions are read from the module globals at
+    lookup time and a wrapper installed on a module attribute sees the calls.
+    """
+    L = LowerClassId
+    return {
+        L.WEAKLY_CHORDAL: LowerClass(
+            is_weakly_chordal, seeds=lambda: [cycle_graph(5), cycle_graph(6), _co_c6()]
+        ),
+        L.PERMUTATION: LowerClass(
+            is_permutation, seeds=lambda: [cycle_graph(5), cycle_graph(6), _co_c6()]
+        ),
+        L.COMPARABILITY: LowerClass(is_comparability, seeds=lambda: [cycle_graph(5), _co_c6()]),
+        L.CO_COMPARABILITY: LowerClass(
+            is_co_comparability, seeds=lambda: [cycle_graph(5), cycle_graph(6)]
+        ),
+        L.DISTANCE_HEREDITARY: LowerClass(
+            is_distance_hereditary,
+            seeds=lambda: [pattern("domino"), pattern("house"), cycle_graph(5), cycle_graph(6)],
+        ),
+        L.MEYNIEL: LowerClass(is_meyniel, seeds=lambda: [cycle_graph(5), pattern("house")]),
+        L.BIPARTITE_FAMILY: LowerClass(is_bipartite, is_complete_bipartite),
+        L.CHORDAL_FAMILY: LowerClass(is_chordal, lambda g: is_c0_member(g) is not None),
+        L.BLOCK: LowerClass(is_block_graph, is_block_lower),
+        L.LINE: LowerClass(is_line_graph, is_line_lower),
+        L.OUTERPLANAR: LowerClass(is_outerplanar, is_lower_outerplanar),
+        L.THRESHOLD: LowerClass(is_threshold, lambda g: g.n <= 3),
+    }
+
+
+FAMILY_DEFINED = tuple(cid for cid, entry in lower_classes().items() if entry.seeds)
+
+_family_cache: dict[LowerClassId, PatternFamily] = {}
+
+
+def lower_family(class_id: LowerClassId) -> PatternFamily:
+    """The switching-expanded forbidden family for a family-defined id."""
+    fam = _family_cache.get(class_id)
+    if fam is None:
+        seeds = lower_classes()[class_id].seeds
+        if seeds is None:
+            raise ValueError(f"{class_id.value} is not family-defined")
+        fam = expand_switch_family(seeds())
+        _family_cache[class_id] = fam
+    return fam
 
 
 def recognize_lower(g: Graph, class_id: LowerClassId) -> bool:
-    if class_id in _FAMILY_SEEDS:
+    recognize = lower_classes()[class_id].recognize
+    if recognize is None:
         return is_family_free(g, lower_family(class_id))
-    if class_id is LowerClassId.BIPARTITE_FAMILY:
-        return is_complete_bipartite(g)
-    if class_id is LowerClassId.CHORDAL_FAMILY:
-        return is_c0_member(g) is not None
-    if class_id is LowerClassId.BLOCK:
-        return is_block_lower(g)
-    if class_id is LowerClassId.LINE:
-        return is_line_lower(g)
-    if class_id is LowerClassId.OUTERPLANAR:
-        return is_lower_outerplanar(g)
-    if class_id is LowerClassId.THRESHOLD:
-        return g.n <= 3
-    raise ValueError(f"unhandled class id {class_id}")
-
-
-def direct_class_test(class_id: LowerClassId) -> Callable[[Graph], bool]:
-    """Reference membership test for the base class 𝒢 itself (oracle mode)."""
-    table: dict[LowerClassId, Callable[[Graph], bool]] = {
-        LowerClassId.WEAKLY_CHORDAL: is_weakly_chordal,
-        LowerClassId.PERMUTATION: is_permutation,
-        LowerClassId.COMPARABILITY: is_comparability,
-        LowerClassId.CO_COMPARABILITY: is_co_comparability,
-        LowerClassId.DISTANCE_HEREDITARY: is_distance_hereditary,
-        LowerClassId.MEYNIEL: is_meyniel,
-        LowerClassId.BIPARTITE_FAMILY: is_complete_bipartite,
-        LowerClassId.CHORDAL_FAMILY: is_chordal,
-        LowerClassId.BLOCK: is_block_graph,
-        LowerClassId.LINE: is_line_graph,
-        LowerClassId.OUTERPLANAR: is_outerplanar,
-        LowerClassId.THRESHOLD: is_threshold,
-    }
-    return table[class_id]
+    return recognize(g)

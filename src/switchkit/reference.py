@@ -62,64 +62,48 @@ def is_meyniel(g: Graph) -> bool:
     return True
 
 
+def bipartition_sides(g: Graph, mask: int | None = None) -> tuple[int, int] | None:
+    """The 2-coloring (side 0, side 1) of G[mask] (default all of V), or None
+    on an odd cycle.  Side 0 holds the lowest vertex of each component."""
+    rows = g.rows
+    left = g.full_mask() if mask is None else mask
+    sides = [0, 0]
+    while left:
+        layer = left & -left
+        color = 0
+        while layer:  # breadth-first, one layer per color flip
+            sides[color] |= layer
+            left &= ~layer
+            reach = 0
+            for v in bits_of(layer):
+                reach |= rows[v]
+            if reach & sides[color]:
+                return None
+            layer = reach & left
+            color ^= 1
+    return sides[0], sides[1]
+
+
+def complete_bipartite_sides(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Sides of G[mask] if it is complete bipartite, else None.
+
+    Degenerate sides are allowed: an edgeless G[mask] has every vertex on
+    side 0.  Every side-0 vertex must see exactly side 1 within the mask,
+    which also rejects a disconnected G[mask] with an edge.
+    """
+    sides = bipartition_sides(g, mask)
+    if sides is None or any(g.rows[v] & mask != sides[1] for v in bits_of(sides[0])):
+        return None
+    return sides
+
+
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits_of(g.rows[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+    return bipartition_sides(g) is not None
 
 
 def is_complete_bipartite(g: Graph) -> bool:
     """Complete bipartite, degenerate sides allowed (edgeless qualifies)."""
-    if g.edge_count() == 0:
-        return True
-    comps = g.components()
-    if len(comps) != 1:
-        return False
-    side = bipartition_sides(g)
-    if side is None:
-        return False
-    x, y = side
-    for v in bits_of(x):
-        if g.rows[v] != y:
-            return False
-    return True
-
-
-def bipartition_sides(g: Graph) -> tuple[int, int] | None:
-    """(side containing vertex 0's component anchor, other side) or None."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits_of(g.rows[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    x = y = 0
-    for v, c in enumerate(color):
-        if c == 0:
-            x |= 1 << v
-        else:
-            y |= 1 << v
-    return x, y
+    return complete_bipartite_sides(g, g.full_mask()) is not None
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 from .canonical import canonical_form, switching_class
 from .errors import BudgetExceeded, TooLarge
 from .graph import Graph, VertexSet, bits_of, induced
-from .patterns import cycle_graph, path_graph
 
 DEFAULT_BUDGET = 10**9
 
@@ -241,33 +240,12 @@ def find_induced_cycle(
     return None
 
 
-def naive_has_induced_path(g: Graph, k: int) -> bool:
-    """Reference oracle: scan all k-subsets for an induced P_k."""
-    pk = path_graph(k)
-    pf = canonical_form(pk)
-    for combo in combinations(range(g.n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        from .graph import induced
-
-        if canonical_form(induced(g, mask)) == pf:
-            return True
-    return False
-
-
-def naive_has_induced_cycle(g: Graph, k: int) -> bool:
-    ck = cycle_graph(k)
-    cf = canonical_form(ck)
-    for combo in combinations(range(g.n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        from .graph import induced
-
-        if canonical_form(induced(g, mask)) == cf:
-            return True
-    return False
+def naive_has_induced(g: Graph, h: Graph) -> bool:
+    """Reference oracle: scan every |h|-subset of g for an induced copy of h."""
+    form = canonical_form(h)
+    return any(
+        canonical_form(induced(g, combo)) == form for combo in combinations(range(g.n), h.n)
+    )
 
 
 def induces_path_sequence(g: Graph, seq: Sequence[int]) -> bool:

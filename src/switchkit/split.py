@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, VertexSet, bits_of, complement
 from .search import find_induced_cycle
 
 
@@ -177,25 +177,6 @@ def _find_clique_in(g: Graph, allowed: int, size: int) -> tuple[int, ...] | None
     return grow([], allowed, verts)
 
 
-def _find_independent_in(g: Graph, allowed: int, size: int) -> tuple[int, ...] | None:
-    verts = bits_of(allowed)
-    if size == 0:
-        return ()
-
-    def grow(chosen: list[int], avail: int, rest: list[int]) -> tuple[int, ...] | None:
-        if len(chosen) == size:
-            return tuple(chosen)
-        for idx, v in enumerate(rest):
-            if not avail >> v & 1:
-                continue
-            got = grow(chosen + [v], avail & ~g.rows[v], rest[idx + 1 :])
-            if got is not None:
-                return got
-        return None
-
-    return grow([], allowed, verts)
-
-
 def pq_split_partition_masks(g: Graph, p: int, q: int) -> list[tuple[int, int]]:
     """All (S,T) with G[S] K_{p+1}-free and G[T] without independent (q+1)-sets.
 
@@ -212,6 +193,7 @@ def pq_split_partition_masks(g: Graph, p: int, q: int) -> list[tuple[int, int]]:
         return [(i, k) for k, i in all_split_partition_masks(g)]
     out: list[tuple[int, int]] = []
     full = g.full_mask()
+    co = complement(g)  # the independent sets of g are the cliques of co
 
     def solve(smask: int, tmask: int, free: int) -> None:
         clique = _find_clique_in(g, smask | free, p + 1)
@@ -228,7 +210,7 @@ def pq_split_partition_masks(g: Graph, p: int, q: int) -> list[tuple[int, int]]:
                 )
                 moved_to_s |= 1 << v
             return
-        indep = _find_independent_in(g, tmask | free, q + 1)
+        indep = _find_clique_in(co, tmask | free, q + 1)
         if indep is not None:
             free_members = [v for v in indep if free >> v & 1]
             if not free_members:

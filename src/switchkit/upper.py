@@ -1,5 +1,14 @@
 """Polynomial algorithms for upper switching classes, plus enumeration.
 
+The upper class of a hereditary class is its smallest switching-closed
+superclass: the graphs with some switch in the class.  ``upper_classes()``
+is the one table of the upper classes switchkit knows, keyed by CLI name.
+Each entry holds the membership predicate (the oracle searches for a switch
+satisfying it), the recognition algorithm returning a witness switching set,
+and the enumerator of every witness, the last two where switchkit has them.
+The CLI class names, --oracle, --enumerate and the oracle command's named
+predicates all read this table.
+
 Each routine mirrors its decision procedure step by step, but every candidate
 switching set is re-verified against the target class before being returned:
 the algorithmic steps are filters, never trusted proofs.  Cited-but-absent
@@ -11,13 +20,15 @@ contracts, capped at 22 vertices.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .canonical import c5_switching_forms, canonical_form
 from .errors import TooLarge
 from .graph import Graph, VertexSet, bits_of, complement, induced, switch
-from .oracle import ORACLE_CAP, normalize_mask, oracle_upper
+from .oracle import ORACLE_CAP, Predicate, normalize_mask, oracle_upper
 from .patterns import complete_graph, cycle_graph, disjoint_union, edgeless_graph, pattern, star_graph
 from .reference import (
+    complete_bipartite_sides,
     is_bipartite,
     is_complete_multipartite,
     is_paw_free,
@@ -226,41 +237,6 @@ def upper_complete_multipartite(g: Graph) -> VertexSet | None:
     return oracle_upper(g, is_complete_multipartite)
 
 
-def _complete_bipartite_sides_mask(g: Graph, mask: int) -> tuple[int, int] | None:
-    """Bipartition sides of G[mask] if it is complete bipartite (edgeless
-    counts, with everything on one side); None otherwise."""
-    if mask == 0:
-        return 0, 0
-    verts = bits_of(mask)
-    if all(g.rows[v] & mask == 0 for v in verts):
-        return mask, 0
-    start = verts[0]
-    side1 = 1 << start
-    side2 = 0
-    colored = side1
-    stack = [start]
-    color = {start: 0}
-    while stack:
-        v = stack.pop()
-        for u in bits_of(g.rows[v] & mask):
-            if u not in color:
-                color[u] = color[v] ^ 1
-                colored |= 1 << u
-                if color[u]:
-                    side2 |= 1 << u
-                else:
-                    side1 |= 1 << u
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
-    if colored != mask:
-        return None  # disconnected with an edge: induced K2+K1
-    for v in bits_of(side1):
-        if g.rows[v] & mask != side2:
-            return None
-    return side1, side2
-
-
 def upper_bipartite(g: Graph) -> VertexSet | None:
     """A with S(g,A) bipartite, via: such an A exists iff V splits into two
     complete-bipartite-inducing halves; A is one side of each half."""
@@ -271,11 +247,11 @@ def upper_bipartite(g: Graph) -> VertexSet | None:
     full = g.full_mask()
     for half in range(1 << max(g.n - 1, 0)):
         x = half << 1 | 1
-        sides_x = _complete_bipartite_sides_mask(g, x)
+        sides_x = complete_bipartite_sides(g, x)
         if sides_x is None:
             continue
         y = full & ~x
-        sides_y = _complete_bipartite_sides_mask(g, y)
+        sides_y = complete_bipartite_sides(g, y)
         if sides_y is None:
             continue
         a = sides_x[0] | sides_y[0]
@@ -445,3 +421,34 @@ def upper_bipartite_chain(g: Graph) -> VertexSet | None:
             "bipartite witness did not induce a chain graph; theorem violated"
         )
     return got
+
+
+# -- the table ---------------------------------------------------------------
+
+
+class UpperClass(NamedTuple):
+    predicate: Predicate
+    algorithm: Callable[[Graph], VertexSet | None] | None = None
+    enumerator: Callable[[Graph], list[VertexSet]] | None = None
+
+
+def upper_classes(p: int = 2, q: int = 2) -> dict[str, UpperClass]:
+    """The upper-class table; (p, q) are the star and co-star sizes.
+
+    Built on each call, so its functions are read from the module globals at
+    lookup time and a wrapper installed on a module attribute sees the calls.
+    """
+    return {
+        "split": UpperClass(is_split, upper_split, enumerate_upper_split),
+        "pseudo-split": UpperClass(
+            is_pseudo_split, upper_pseudo_split, enumerate_upper_pseudo_split
+        ),
+        "paw-free": UpperClass(is_paw_free, upper_paw_free),
+        "star-costar": UpperClass(
+            lambda g: star_costar_free(g, p, q), lambda g: upper_star_costar(g, p, q)
+        ),
+        "bipartite": UpperClass(is_bipartite, upper_bipartite),
+        "bipartite-chain": UpperClass(is_bipartite_chain, upper_bipartite_chain),
+        "triangle-free": UpperClass(is_triangle_free),
+        "complete-multipartite": UpperClass(is_complete_multipartite),
+    }

@@ -13,9 +13,9 @@ from switchkit.errors import BudgetExceeded
 from switchkit.graph import Graph, bits_of, complement, switch
 from switchkit.lower import (
     FAMILY_DEFINED,
-    direct_class_test,
     is_c0_member,
     is_lower_outerplanar,
+    lower_classes,
     recognize_lower,
 )
 from switchkit.nae import NaeFormula, nae_eval
@@ -28,7 +28,6 @@ from switchkit.reductions import (
     build_p10_instance,
     verify_instance,
 )
-from switchkit.reference import is_bipartite, is_paw_free
 from switchkit.search import (
     expand_switch_family,
     induces_cycle_sequence,
@@ -36,18 +35,7 @@ from switchkit.search import (
     is_free,
 )
 from switchkit.split import is_pseudo_split, is_split, split_partitions
-from switchkit.upper import (
-    enumerate_upper_pseudo_split,
-    enumerate_upper_split,
-    is_bipartite_chain,
-    star_costar_free,
-    upper_bipartite,
-    upper_bipartite_chain,
-    upper_paw_free,
-    upper_pseudo_split,
-    upper_split,
-    upper_star_costar,
-)
+from switchkit.upper import enumerate_upper_pseudo_split, enumerate_upper_split, upper_classes
 from tests.conftest import random_graph
 
 
@@ -121,7 +109,7 @@ def test_criterion_03_lower_oracle_equivalence(graphs_up_to_7):
     t0 = time.time()
     checked = 0
     for cid in FAMILY_DEFINED:
-        direct = direct_class_test(cid)
+        direct = lower_classes()[cid].base
         for g in graphs_up_to_7:
             if recognize_lower(g, cid) != oracle_lower(g, direct):
                 report(3, f"lower oracle equivalence ({cid.value}, {g.edges()})", False)
@@ -154,15 +142,8 @@ def test_criterion_05_outerplanar_census(atlas_by_order):
            n5 == 4 and n4 == 8, f"got {n5}/{n4}, {time.time() - t0:.1f}s")
 
 
-UPPER_ALGS = [
-    ("split", upper_split, is_split),
-    ("pseudo-split", upper_pseudo_split, is_pseudo_split),
-    ("paw-free", upper_paw_free, is_paw_free),
-    ("star-costar(2,2)", lambda g: upper_star_costar(g, 2, 2),
-     lambda g: star_costar_free(g, 2, 2)),
-    ("bipartite", upper_bipartite, is_bipartite),
-    ("bipartite-chain", upper_bipartite_chain, is_bipartite_chain),
-]
+# every class with an algorithm; star-costar at p = q = 2
+UPPER_ALGS = [(name, c.algorithm, c.predicate) for name, c in upper_classes().items() if c.algorithm]
 
 
 def test_criterion_06_upper_oracle_equivalence(graphs_up_to_7):

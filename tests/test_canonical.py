@@ -166,8 +166,46 @@ class TestSwitchingEquivalence:
         with pytest.raises(SizeMismatch):
             are_switching_equivalent(cycle_graph(4), cycle_graph(5))
 
+    def test_atlas_pairs_match_switching_class(self, atlas_by_order):
+        # every ordered pair of equal-order graphs with 1-6 vertices
+        pairs = 0
+        for n in range(1, 7):
+            classes = [switching_class(g) for g in atlas_by_order[n]]
+            for g in atlas_by_order[n]:
+                for h, cls in zip(atlas_by_order[n], classes):
+                    assert are_switching_equivalent(g, h) == (g in cls), (g.edges(), h.edges())
+                    pairs += 1
+        assert pairs == 25634
+
+    def test_relabeled_switches_order_10(self):
+        rng = random.Random(1980)
+        for _ in range(10):
+            g = random_graph(rng, 10, 0.5)
+            perm = list(range(10))
+            rng.shuffle(perm)
+            s = switch(g, [v for v in range(10) if rng.random() < 0.5])
+            h = Graph.from_edges(10, [(perm[u], perm[v]) for u, v in s.edges()])
+            assert are_switching_equivalent(g, h)
+            assert are_switching_equivalent(g, switch(h, [perm[0]])) == (
+                switch(h, [perm[0]]) in switching_class(g)
+            )
+
+    def test_empty_graphs(self):
+        assert are_switching_equivalent(Graph.empty(0), Graph.empty(0))
+
     def test_witness_is_exact(self):
         g = cycle_graph(4)
         h = switch(g, [1, 2])
         w = switching_witness(g, h)
         assert w is not None and switch(g, w) == h
+
+    def test_witness_avoids_vertex_0_and_none_across_classes(self):
+        g = random_graph(random.Random(5), 9, 0.5)
+        h = switch(g, [0, 2, 5])
+        w = switching_witness(g, h)
+        assert w is not None and sorted(w) == [1, 3, 4, 6, 7, 8]
+        assert switching_witness(cycle_graph(4), path_graph(4)) is None
+
+    def test_witness_size_cap(self):
+        with pytest.raises(TooLarge):
+            switching_witness(Graph.empty(23), Graph.empty(23))

@@ -1,9 +1,13 @@
 """CLI surface: exit codes, golden outputs, determinism."""
 
+import hashlib
+import importlib
+import inspect
 import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from switchkit.cli import run
 from switchkit.graphio import emit_graph6
@@ -190,3 +194,56 @@ def test_reduce_roles_sidecar(tmp_path):
     roles = json.loads(path.read_text())
     assert roles["num_vertices"] == 199
     assert len(roles["clauses"][0]["B"]) == 8
+
+
+# Every graph of order 1-6, one per isomorphism class (208 graph6 lines).
+ATLAS_G6 = (Path(__file__).resolve().parent.parent / "perfbench" / "atlas.g6").read_text()
+
+LOWER_NAMES = (
+    "weakly-chordal", "permutation", "comparability", "co-comparability",
+    "distance-hereditary", "meyniel", "bipartite", "chordal", "block", "line",
+    "outerplanar", "threshold",
+)
+UPPER_NAMES = ("split", "pseudo-split", "paw-free", "star-costar", "bipartite", "bipartite-chain")
+ORACLE_PREDICATES = (
+    "split", "pseudo-split", "paw-free", "triangle-free", "complete-multipartite",
+    "bipartite", "bipartite-chain", "star-costar", "free:c4,c5",
+)
+# sha256 over (argv, exit code, stdout) of every command in golden_commands()
+# on the atlas stream, as the CLI answered before its class lists were merged
+# into the class tables.
+GOLDEN_CLI_DIGEST = "1034aa0fe836e20e8ddd9c89c83f17c74cc9a0458cded20d302c082e5f527038"
+
+
+def golden_commands():
+    cmds = [["class"]]
+    cmds += [["lower", c, *flag] for c in LOWER_NAMES for flag in ([], ["--oracle"])]
+    cmds += [["upper", c, *flag] for c in UPPER_NAMES for flag in ([], ["--oracle"])]
+    cmds += [["upper", c, "--enumerate"] for c in ("split", "pseudo-split")]
+    cmds += [["oracle", d, p] for d in ("upper", "lower") for p in ORACLE_PREDICATES]
+    return [argv + mode for argv in cmds for mode in ([], ["--json"])]
+
+
+def test_golden_cli_digest_on_atlas():
+    digest = hashlib.sha256()
+    runs = golden_commands()
+    assert len(runs) == 114
+    for argv in runs:
+        code, out, _ = cli(argv, ATLAS_G6)
+        digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == GOLDEN_CLI_DIGEST
+
+
+def test_benchmark_layers_are_public_functions():
+    """Each function a per-layer benchmark metric names still exists."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    named = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("calls", "self_s") and parts[:2] != ["reference", "predicates"]:
+            named.add((parts[0], parts[1]))
+    assert named
+    for module, func in sorted(named):
+        mod = importlib.import_module(f"switchkit.{module}")
+        fn = getattr(mod, func, None)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{func}"

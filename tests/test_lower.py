@@ -6,11 +6,11 @@ from switchkit.graph import Graph, complement
 from switchkit.lower import (
     FAMILY_DEFINED,
     LowerClassId,
-    direct_class_test,
     is_block_lower,
     is_c0_member,
     is_line_lower,
     is_lower_outerplanar,
+    lower_classes,
     lower_family,
     recognize_lower,
 )
@@ -23,7 +23,7 @@ from switchkit.patterns import (
     pattern,
 )
 from switchkit.profiles import profile_graph
-from switchkit.reference import is_bipartite, is_line_graph
+from switchkit.reference import is_line_graph
 from switchkit.search import is_free
 
 
@@ -63,14 +63,6 @@ class TestRecognizeLower:
             for g in atlas_by_order[n]:
                 assert recognize_lower(g, LowerClassId.COMPARABILITY) == recognize_lower(
                     complement(g), LowerClassId.CO_COMPARABILITY
-                )
-
-    def test_lower_bipartite_is_complete_bipartite(self, atlas_by_order):
-        # lower class of *bipartite* graphs collapses to complete bipartite
-        for n in range(1, 7):
-            for g in atlas_by_order[n]:
-                assert oracle_lower(g, is_bipartite) == recognize_lower(
-                    g, LowerClassId.BIPARTITE_FAMILY
                 )
 
     def test_family_cache_is_stable(self):
@@ -114,13 +106,6 @@ class TestBlockLower:
         assert is_block_lower(path_graph(3))
         assert not is_block_lower(pattern("k2+2k1"))
 
-    def test_oracle_equivalence_small(self, atlas_by_order):
-        from switchkit.reference import is_block_graph
-
-        for n in range(7):
-            for g in atlas_by_order[n]:
-                assert is_block_lower(g) == oracle_lower(g, is_block_graph), g.edges()
-
 
 class TestLineLower:
     def test_examples(self):
@@ -152,9 +137,9 @@ class TestOuterplanarLower:
         assert accepted == switching_class(cycle_graph(5)).forms()
 
 
-@pytest.mark.parametrize("cid", FAMILY_DEFINED)
+@pytest.mark.parametrize("cid", list(lower_classes()))
 def test_family_oracle_equivalence_n_le_6(atlas_by_order, cid):
-    direct = direct_class_test(cid)
+    direct = lower_classes()[cid].base
     for n in range(7):
         for g in atlas_by_order[n]:
             assert recognize_lower(g, cid) == oracle_lower(g, direct), (cid, g.edges())

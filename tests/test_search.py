@@ -17,8 +17,7 @@ from switchkit.search import (
     induces_cycle_sequence,
     induces_path_sequence,
     is_family_free,
-    naive_has_induced_cycle,
-    naive_has_induced_path,
+    naive_has_induced,
 )
 from tests.conftest import random_graph
 
@@ -124,21 +123,21 @@ class TestPathCycleSearch:
     def test_agrees_with_naive(self, atlas_by_order):
         for g in atlas_by_order[6]:
             for k in range(2, 7):
-                assert (find_induced_path(g, k) is not None) == naive_has_induced_path(
-                    g, k
+                assert (find_induced_path(g, k) is not None) == naive_has_induced(
+                    g, path_graph(k)
                 )
             for k in range(3, 7):
                 assert (
                     find_induced_cycle(g, k) is not None
-                ) == naive_has_induced_cycle(g, k)
+                ) == naive_has_induced(g, cycle_graph(k))
 
     def test_agrees_with_naive_random_n9(self):
         rng = random.Random(7)
         for _ in range(25):
             g = random_graph(rng, 9, rng.choice((0.2, 0.4, 0.6)))
             for k in (4, 5, 6):
-                assert (find_induced_path(g, k) is not None) == naive_has_induced_path(g, k)
-                assert (find_induced_cycle(g, k) is not None) == naive_has_induced_cycle(g, k)
+                assert (find_induced_path(g, k) is not None) == naive_has_induced(g, path_graph(k))
+                assert (find_induced_cycle(g, k) is not None) == naive_has_induced(g, cycle_graph(k))
 
     def test_budget_exceeded(self):
         g = random_graph(random.Random(1), 14, 0.3)

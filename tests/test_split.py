@@ -5,10 +5,11 @@ import random
 import pytest
 
 from switchkit.errors import TooLarge
-from switchkit.graph import Graph, bits_of
+from switchkit.graph import Graph, bits_of, complement
 from switchkit.patterns import complete_graph, cycle_graph, path_graph, pattern
 from switchkit.search import is_free
 from switchkit.split import (
+    _find_clique_in,
     all_split_partition_masks,
     is_pq_split,
     is_pseudo_split,
@@ -156,11 +157,9 @@ class TestPqSplit:
                 want = set()
                 for s in range(1 << g.n):
                     t = g.full_mask() & ~s
-                    from switchkit.split import _find_clique_in, _find_independent_in
-
                     if (
                         _find_clique_in(g, s, p + 1) is None
-                        and _find_independent_in(g, t, q + 1) is None
+                        and _find_clique_in(complement(g), t, q + 1) is None
                     ):
                         want.add((s, t))
                 assert got == want, (g.edges(), p, q)
