@@ -156,20 +156,22 @@ class Graph:
 
     # -- structural helpers ------------------------------------------------
 
-    def components(self) -> list[int]:
-        """Connected components as bitmasks, ordered by smallest member."""
+    def components(self, mask: int | None = None) -> list[int]:
+        """Connected components of G[mask] (the whole graph when mask is None)
+        as bitmasks in this graph's own labels, ordered by smallest member."""
+        rows = self.rows if mask is None else [r & mask for r in self.rows]
         seen = 0
         out = []
-        for v in range(self.n):
+        for v in range(self.n) if mask is None else bits_of(mask):
             if seen >> v & 1:
                 continue
             comp = 1 << v
-            frontier = self.rows[v] & ~comp
+            frontier = rows[v] & ~comp
             while frontier:
                 comp |= frontier
                 nxt = 0
                 for u in bits_of(frontier):
-                    nxt |= self.rows[u]
+                    nxt |= rows[u]
                 frontier = nxt & ~comp
             seen |= comp
             out.append(comp)

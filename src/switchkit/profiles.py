@@ -99,19 +99,27 @@ def clique_path_profile(g: Graph) -> Profile | None:
     return min(prof, prof[::-1])
 
 
-def concrete_profile(g: Graph) -> Profile | None:
-    """Canonical concrete profile of g, or None if g is not a profile graph.
-
-    Components are rendered as clique paths joined by single zeros, ordered
-    by (size, profile) descending for determinism.
-    """
-    comps = g.components()
+def _component_profiles(g: Graph, comps: list[int]) -> list[Profile] | None:
+    """The clique-path profile of each component mask in ``comps``, or None
+    if some component is not a clique path."""
     profs = []
     for comp in comps:
         p = clique_path_profile(induced(g, comp))
         if p is None:
             return None
         profs.append(p)
+    return profs
+
+
+def concrete_profile(g: Graph) -> Profile | None:
+    """Canonical concrete profile of g, or None if g is not a profile graph.
+
+    Components are rendered as clique paths joined by single zeros, ordered
+    by (size, profile) descending for determinism.
+    """
+    profs = _component_profiles(g, g.components())
+    if profs is None:
+        return None
     profs.sort(key=lambda p: (sum(p), p), reverse=True)
     out: list[int] = []
     for p in profs:
@@ -174,12 +182,9 @@ def match_profile_family(
     comps = g.components()
     if len(comps) != len(fam_parts):
         return None
-    comp_profs = []
-    for comp in comps:
-        p = clique_path_profile(induced(g, comp))
-        if p is None:
-            return None
-        comp_profs.append(p)
+    comp_profs = _component_profiles(g, comps)
+    if comp_profs is None:
+        return None
     # small bijection search; component counts here never exceed a handful
     for order in permutations(range(len(comps))):
         oriented: list[Profile] = []

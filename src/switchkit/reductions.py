@@ -129,8 +129,9 @@ def _check(cond: bool, what: str) -> None:
 
 
 def build_p10_instance(f: NaeFormula) -> ReductionInstance:
-    """55m + n vertices; switching TRUE variable vertices of an NAE-satisfying
-    assignment yields a P10-free graph, and only such switchings within L do."""
+    """50m + n vertices (each clause adds 5 I vertices and 5 P9s); switching
+    TRUE variable vertices of an NAE-satisfying assignment yields a P10-free
+    graph, and only such switchings within L do."""
     if f.k != 5:
         raise ArityMismatch(f"P10 construction needs arity 5, got {f.k}")
     n = f.num_vars

@@ -5,6 +5,10 @@ enumeration grows from one base partition: any two split partitions differ
 by at most one vertex on each side (clique-side difference sits inside an
 independent set and vice versa), so scanning single moves and swaps from the
 base finds every partition.
+
+The partition routines take an optional vertex mask and then work on G[mask]
+in g's own vertex labels: the result is that on ``induced(g, mask)``, lifted
+back, in the same order.
 """
 
 from __future__ import annotations
@@ -30,10 +34,15 @@ class PseudoSplitPartition:
     h: VertexSet  # empty, or a C5 complete to k and nonadjacent to i
 
 
-def _base_split_partition(g: Graph) -> tuple[int, int] | None:
-    """(clique mask, independent mask) via the splittance construction."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+def _base_split_partition(g: Graph, mask: int | None = None) -> tuple[int, int] | None:
+    """(clique mask, independent mask) of G[mask] via the splittance construction."""
+    if mask is None:
+        verts, deg, mask = range(g.n), g.degrees(), g.full_mask()
+    else:
+        verts, deg = bits_of(mask), [(r & mask).bit_count() for r in g.rows]
+    # the sort is stable, so equal degrees keep the smaller vertex first
+    order = sorted(verts, key=deg.__getitem__, reverse=True)
+    degs = [deg[v] for v in order]
     h = 0
     for idx, d in enumerate(degs):
         if d >= idx:
@@ -45,17 +54,13 @@ def _base_split_partition(g: Graph) -> tuple[int, int] | None:
     kmask = 0
     for v in order[:h]:
         kmask |= 1 << v
-    imask = g.full_mask() & ~kmask
-    if not g.is_clique_mask(kmask) or not g.is_independent_mask(imask):
-        # ties in the degree order can need a reshuffle; fall back to moves
-        return _repair_partition(g, kmask, imask)
-    return kmask, imask
-
-
-def _repair_partition(g: Graph, kmask: int, imask: int) -> tuple[int, int] | None:
+    imask = mask & ~kmask
+    if g.is_clique_mask(kmask) and g.is_independent_mask(imask):
+        return kmask, imask
+    # ties in the degree order can need a swap of two equal-degree vertices
     for v in bits_of(kmask):
         for u in bits_of(imask):
-            if g.degree(v) != g.degree(u):
+            if deg[v] != deg[u]:
                 continue
             k2 = kmask & ~(1 << v) | 1 << u
             i2 = imask & ~(1 << u) | 1 << v
@@ -68,13 +73,16 @@ def is_split(g: Graph) -> bool:
     return _base_split_partition(g) is not None
 
 
-def all_split_partition_masks(g: Graph) -> list[tuple[int, int]]:
-    """Every ordered (clique, independent) partition; [] iff g is not split."""
-    base = _base_split_partition(g)
+def all_split_partition_masks(
+    g: Graph, mask: int | None = None
+) -> list[tuple[int, int]]:
+    """Every ordered (clique, independent) partition of G[mask] (the whole
+    graph when mask is None); [] iff G[mask] is not split."""
+    base = _base_split_partition(g, mask)
     if base is None:
         return []
     k0, _ = base
-    full = g.full_mask()
+    full = g.full_mask() if mask is None else mask
     candidates = {k0}
     for v in bits_of(k0):
         candidates.add(k0 & ~(1 << v))
@@ -177,8 +185,11 @@ def _find_clique_in(g: Graph, allowed: int, size: int) -> tuple[int, ...] | None
     return grow([], allowed, verts)
 
 
-def pq_split_partition_masks(g: Graph, p: int, q: int) -> list[tuple[int, int]]:
-    """All (S,T) with G[S] K_{p+1}-free and G[T] without independent (q+1)-sets.
+def pq_split_partition_masks(
+    g: Graph, p: int, q: int, mask: int | None = None
+) -> list[tuple[int, int]]:
+    """All (S,T) partitioning G[mask] (the whole graph when mask is None) with
+    G[S] K_{p+1}-free and G[T] without independent (q+1)-sets.
 
     Branch and reduce: a K_{p+1} inside S-plus-free forces one of its free
     vertices into T (branching on which is first), symmetrically for an
@@ -187,12 +198,12 @@ def pq_split_partition_masks(g: Graph, p: int, q: int) -> list[tuple[int, int]]:
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
-    if g.n > PQ_SPLIT_CAP:
+    full = g.full_mask() if mask is None else mask
+    if full.bit_count() > PQ_SPLIT_CAP:
         raise TooLarge(f"(p,q)-split enumeration capped at n <= {PQ_SPLIT_CAP}")
     if p == 1 and q == 1:
-        return [(i, k) for k, i in all_split_partition_masks(g)]
+        return [(i, k) for k, i in all_split_partition_masks(g, mask)]
     out: list[tuple[int, int]] = []
-    full = g.full_mask()
     co = complement(g)  # the independent sets of g are the cliques of co
 
     def solve(smask: int, tmask: int, free: int) -> None:

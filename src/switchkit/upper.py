@@ -9,18 +9,29 @@ and the enumerator of every witness, the last two where switchkit has them.
 The CLI class names, --oracle, --enumerate and the oracle command's named
 predicates all read this table.
 
-Each routine mirrors its decision procedure step by step, but every candidate
-switching set is re-verified against the target class before being returned:
-the algorithmic steps are filters, never trusted proofs.  Cited-but-absent
-subroutines (upper bipartite / triangle-free / complete-multipartite and the
-(p,q)-split enumeration) are exact desk-scale stand-ins behind the same
-contracts, capped at 22 vertices.
+Each algorithm mirrors its decision procedure step by step as a stream of
+candidate switching sets: fix a few anchor vertices, sort the others into
+groups, pick one partition of each group and switch at the union.  The
+streams work in the host graph's own vertex labels, restricting the split
+and (p,q)-split partition routines and the component search to vertex masks
+instead of relabelled induced subgraphs.  One verifier, ``_first_switch``
+(or ``_all_switches`` for the enumerators), switches at each candidate,
+tests the target class and normalises the witness: the algorithmic steps
+are filters, never trusted proofs.
+
+Cited-but-absent subroutines are exact desk-scale stand-ins behind the same
+contracts, capped at 22 vertices: upper triangle-free and upper
+complete-multipartite are the brute-force oracle over all 2^(n-1)
+switches, upper bipartite scans all 2^(n-1) halvings of the vertex set, and
+the (p,q)-split partitions behind upper star/co-star come from a branching
+enumeration.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canonical import c5_switching_forms, canonical_form
 from .errors import TooLarge
@@ -44,62 +55,54 @@ from .split import (
 )
 
 
-def _lift(vertices: list[int], local_mask: int) -> int:
-    out = 0
-    for i, v in enumerate(vertices):
-        if local_mask >> i & 1:
-            out |= 1 << v
-    return out
+def _first_switch(
+    g: Graph, in_class: Predicate, candidates: Iterable[int]
+) -> VertexSet | None:
+    """The first candidate A with S(g,A) in the class, normalised, or None."""
+    for a in candidates:
+        if in_class(switch(g, a)):
+            return VertexSet(g.n, normalize_mask(g, a))
+    return None
 
 
-def _vs(g: Graph, mask: int) -> VertexSet:
-    return VertexSet(g.n, normalize_mask(g, mask))
+def _all_switches(g: Graph, in_class: Predicate, candidates: Iterable[int]) -> set[int]:
+    """Every candidate A with S(g,A) in the class, normalised."""
+    return {normalize_mask(g, a) for a in candidates if in_class(switch(g, a))}
+
+
+def _split_unions(g: Graph, base: int, kside: int, iside: int) -> Iterator[int]:
+    """base | K1 | I2 over the split partitions (K1, I1) of G[kside] and
+    (K2, I2) of G[iside]."""
+    parts_k = all_split_partition_masks(g, kside)
+    if not parts_k:
+        return
+    parts_i = all_split_partition_masks(g, iside)
+    for k1, _i1 in parts_k:
+        for _k2, i2 in parts_i:
+            yield base | k1 | i2
 
 
 # -- split ---------------------------------------------------------------
 
 
-def _split_candidates(g: Graph, collect_all: bool) -> list[int]:
-    """Candidate solutions from the pair/partition sweep (non-split inputs)."""
+def _split_candidates(g: Graph) -> Iterator[int]:
+    """Candidates from the pair/partition sweep (non-split inputs)."""
     full = g.full_mask()
-    found: list[int] = []
-    seen: set[int] = set()
     for u in range(g.n):
         for v in range(g.n):
             if u == v:
                 continue
             common = g.rows[u] & g.rows[v]
             outside = full & ~(g.rows[u] | g.rows[v] | 1 << u | 1 << v)
-            gc = induced(g, common)
-            parts_c = all_split_partition_masks(gc)
-            if not parts_c:
-                continue
-            go = induced(g, outside)
-            parts_o = all_split_partition_masks(go)
-            if not parts_o:
-                continue
-            cverts = bits_of(common)
-            overts = bits_of(outside)
             base = 1 << u | 1 << v | (g.rows[u] & ~g.rows[v] & ~(1 << v))
-            for k1, _i1 in parts_c:
-                for _k2, i2 in parts_o:
-                    a = base | _lift(cverts, k1) | _lift(overts, i2)
-                    if is_split(switch(g, a)):
-                        norm = normalize_mask(g, a)
-                        if norm not in seen:
-                            seen.add(norm)
-                            found.append(norm)
-                            if not collect_all:
-                                return found
-    return found
+            yield from _split_unions(g, base, common, outside)
 
 
 def upper_split(g: Graph) -> VertexSet | None:
     """A switching set turning g into a split graph, or None."""
     if is_split(g):
         return VertexSet(g.n, 0)
-    got = _split_candidates(g, collect_all=False)
-    return _vs(g, got[0]) if got else None
+    return _first_switch(g, is_split, _split_candidates(g))
 
 
 def _split_side_options(side_mask: int) -> list[int]:
@@ -119,63 +122,52 @@ def enumerate_upper_split(g: Graph) -> list[VertexSet]:
     on the independent side, so those O(n^2) candidates are scanned; otherwise
     the decision sweep is run to exhaustion.
     """
-    sols: set[int] = set()
     base = _base_split_partition(g)
-    if base is not None:
-        kmask, imask = base
-        for ka in _split_side_options(kmask):
-            for ia in _split_side_options(imask):
-                a = ka | ia
-                if is_split(switch(g, a)):
-                    sols.add(normalize_mask(g, a))
+    if base is None:
+        candidates = _split_candidates(g)
     else:
-        sols.update(_split_candidates(g, collect_all=True))
-    return [VertexSet(g.n, m) for m in sorted(sols)]
+        iopts = _split_side_options(base[1])
+        candidates = (ka | ia for ka in _split_side_options(base[0]) for ia in iopts)
+    return [VertexSet(g.n, m) for m in sorted(_all_switches(g, is_split, candidates))]
 
 
 # -- pseudo-split --------------------------------------------------------
 
 
-_orientation_cache: dict[tuple[int, ...], list[int]] = {}
-
-
-def _c5_orientations(gh: Graph) -> list[int]:
-    """Local masks B (|B| >= 3) with S(gh, B) a plain five-cycle.
+@cache
+def _c5_orientations(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The sides B (|B| >= 3, as local vertex indices) with S(H, B) a plain
+    five-cycle, for the 5-vertex graph H with these rows.
 
     These are exactly the admissible "switch-back" sides of a switching
-    equivalent of C5; the complement-of-B choice is covered elsewhere.
+    equivalent of C5; the complement-of-B choice is covered elsewhere.  There
+    are 2^10 labelled 5-vertex graphs, so the cache stays small.
     """
-    key = gh.rows
-    got = _orientation_cache.get(key)
-    if got is None:
-        got = []
-        if canonical_form(gh) in c5_switching_forms():
-            c5 = canonical_form(cycle_graph(5))
-            for b in range(32):
-                if bin(b).count("1") >= 3 and canonical_form(switch(gh, b)) == c5:
-                    got.append(b)
-        _orientation_cache[key] = got
-    return got
+    gh = Graph(5, rows)
+    if canonical_form(gh) not in c5_switching_forms():
+        return ()
+    c5 = canonical_form(cycle_graph(5))
+    return tuple(
+        tuple(bits_of(b))
+        for b in range(32)
+        if b.bit_count() >= 3 and canonical_form(switch(gh, b)) == c5
+    )
 
 
-def _pseudo_split_h_candidates(g: Graph, collect_all: bool) -> list[int]:
+def _pseudo_split_candidates(g: Graph) -> Iterator[int]:
+    """Candidates from a C5-switching-equivalent H and the two groups of
+    vertices seeing exactly one of its sides."""
     full = g.full_mask()
-    found: list[int] = []
-    seen: set[int] = set()
     for combo in combinations(range(g.n), 5):
         hmask = 0
         for v in combo:
             hmask |= 1 << v
-        gh = induced(g, hmask)
-        orientations = _c5_orientations(gh)
-        if not orientations:
-            continue
-        hverts = list(combo)
-        for b in orientations:
-            h1 = _lift(hverts, b)
+        for side in _c5_orientations(induced(g, hmask).rows):
+            h1 = 0
+            for i in side:
+                h1 |= 1 << combo[i]
             h2 = hmask & ~h1
             group1 = group2 = 0
-            ok = True
             for x in bits_of(full & ~hmask):
                 nin = g.rows[x] & hmask
                 if nin == h1:
@@ -183,31 +175,9 @@ def _pseudo_split_h_candidates(g: Graph, collect_all: bool) -> list[int]:
                 elif nin == h2:
                     group2 |= 1 << x
                 else:
-                    ok = False
                     break
-            if not ok:
-                continue
-            g1 = induced(g, group1)
-            parts1 = all_split_partition_masks(g1)
-            if not parts1:
-                continue
-            g2 = induced(g, group2)
-            parts2 = all_split_partition_masks(g2)
-            if not parts2:
-                continue
-            verts1 = bits_of(group1)
-            verts2 = bits_of(group2)
-            for k1, _i1 in parts1:
-                for _k2, i2 in parts2:
-                    a = h1 | _lift(verts1, k1) | _lift(verts2, i2)
-                    if is_pseudo_split(switch(g, a)):
-                        norm = normalize_mask(g, a)
-                        if norm not in seen:
-                            seen.add(norm)
-                            found.append(norm)
-                            if not collect_all:
-                                return found
-    return found
+            else:
+                yield from _split_unions(g, h1, group1, group2)
 
 
 def upper_pseudo_split(g: Graph) -> VertexSet | None:
@@ -216,13 +186,12 @@ def upper_pseudo_split(g: Graph) -> VertexSet | None:
     got = upper_split(g)
     if got is not None:
         return got
-    cands = _pseudo_split_h_candidates(g, collect_all=False)
-    return _vs(g, cands[0]) if cands else None
+    return _first_switch(g, is_pseudo_split, _pseudo_split_candidates(g))
 
 
 def enumerate_upper_pseudo_split(g: Graph) -> list[VertexSet]:
     sols = {vs.mask for vs in enumerate_upper_split(g)}
-    sols.update(_pseudo_split_h_candidates(g, collect_all=True))
+    sols |= _all_switches(g, is_pseudo_split, _pseudo_split_candidates(g))
     return [VertexSet(g.n, m) for m in sorted(sols)]
 
 
@@ -237,6 +206,19 @@ def upper_complete_multipartite(g: Graph) -> VertexSet | None:
     return oracle_upper(g, is_complete_multipartite)
 
 
+def _bipartite_candidates(g: Graph) -> Iterator[int]:
+    full = g.full_mask()
+    for half in range(1 << max(g.n - 1, 0)):
+        x = half << 1 | 1
+        sides_x = complete_bipartite_sides(g, x)
+        if sides_x is None:
+            continue
+        sides_y = complete_bipartite_sides(g, full & ~x)
+        if sides_y is None:
+            continue
+        yield sides_x[0] | sides_y[0]
+
+
 def upper_bipartite(g: Graph) -> VertexSet | None:
     """A with S(g,A) bipartite, via: such an A exists iff V splits into two
     complete-bipartite-inducing halves; A is one side of each half."""
@@ -244,50 +226,14 @@ def upper_bipartite(g: Graph) -> VertexSet | None:
         raise TooLarge(f"upper bipartite capped at n <= {ORACLE_CAP}, got {g.n}")
     if is_bipartite(g):
         return VertexSet(g.n, 0)
-    full = g.full_mask()
-    for half in range(1 << max(g.n - 1, 0)):
-        x = half << 1 | 1
-        sides_x = complete_bipartite_sides(g, x)
-        if sides_x is None:
-            continue
-        y = full & ~x
-        sides_y = complete_bipartite_sides(g, y)
-        if sides_y is None:
-            continue
-        a = sides_x[0] | sides_y[0]
-        if is_bipartite(switch(g, a)):
-            return _vs(g, a)
-    return None
+    return _first_switch(g, is_bipartite, _bipartite_candidates(g))
 
 
 # -- paw-free ------------------------------------------------------------
 
 
-def _co_components(g: Graph, mask: int) -> list[int]:
-    """Connected components of the complement restricted to ``mask``."""
-    sub = induced(g, mask)
-    verts = bits_of(mask)
-    return [_lift(verts, comp) for comp in complement(sub).components()]
-
-
-def upper_paw_free(g: Graph) -> VertexSet | None:
-    if g.n > ORACLE_CAP:
-        raise TooLarge(f"upper paw-free capped at n <= {ORACLE_CAP}, got {g.n}")
-    if is_paw_free(g):
-        return VertexSet(g.n, 0)
-    got = upper_triangle_free(g)
-    if got is not None:
-        return got
-    got = upper_complete_multipartite(g)
-    if got is not None:
-        return got
+def _paw_free_candidates(g: Graph) -> Iterator[int]:
     full = g.full_mask()
-
-    def verified(a: int) -> VertexSet | None:
-        if is_paw_free(switch(g, a)):
-            return _vs(g, a)
-        return None
-
     # splits into three or more parts
     for u1 in range(g.n):
         for u2 in range(u1 + 1, g.n):
@@ -301,28 +247,22 @@ def upper_paw_free(g: Graph) -> VertexSet | None:
                 for x in range(g.n):
                     if ((g.rows[x] | 1 << x) & trio).bit_count() <= 1:
                         a |= 1 << x
-                got = verified(a)
-                if got is not None:
-                    return got
+                yield a
             delta_closed = (g.rows[u1] | 1 << u1) ^ (g.rows[u2] | 1 << u2)
             outside = full & ~closed
             for u3 in bits_of(g.rows[u1] & g.rows[u2]):
-                for cand in (
-                    outside | (delta_closed & ~g.rows[u3]),
-                    outside | (delta_closed & g.rows[u3]),
-                ):
-                    got = verified(cand)
-                    if got is not None:
-                        return got
+                yield outside | (delta_closed & ~g.rows[u3])
+                yield outside | (delta_closed & g.rows[u3])
     # exactly two parts, one holding a triangle
+    co = complement(g)
     for u1 in range(g.n):
         for u2 in range(u1 + 1, g.n):
             if not g.has_edge(u1, u2):
                 continue
             common = g.rows[u1] & g.rows[u2]
             rest = full & ~(g.rows[u1] | g.rows[u2] | 1 << u1 | 1 << u2)
-            cocomp_common = _co_components(g, common)
-            cocomp_rest = _co_components(g, rest)
+            cocomp_common = co.components(common)
+            cocomp_rest = co.components(rest)
             delta = g.rows[u1] ^ g.rows[u2]
             p, q = len(cocomp_common), len(cocomp_rest)
             for isel in _small_subsets(p, 2):
@@ -336,17 +276,25 @@ def upper_paw_free(g: Graph) -> VertexSet | None:
                         y |= cocomp_rest[idx]
                     if x:
                         u3 = (x & -x).bit_length() - 1
-                        a = x | y | (delta & g.rows[u3])
+                        yield x | y | (delta & g.rows[u3])
                     else:
                         pool = rest & ~y
                         if not pool:
                             continue
                         u3 = (pool & -pool).bit_length() - 1
-                        a = x | y | (delta & ~g.rows[u3])
-                    got = verified(a)
-                    if got is not None:
-                        return got
-    return None
+                        yield x | y | (delta & ~g.rows[u3])
+
+
+def upper_paw_free(g: Graph) -> VertexSet | None:
+    if g.n > ORACLE_CAP:
+        raise TooLarge(f"upper paw-free capped at n <= {ORACLE_CAP}, got {g.n}")
+    if is_paw_free(g):
+        return VertexSet(g.n, 0)
+    for stand_in in (upper_triangle_free, upper_complete_multipartite):
+        got = stand_in(g)
+        if got is not None:
+            return got
+    return _first_switch(g, is_paw_free, _paw_free_candidates(g))
 
 
 def _small_subsets(n: int, cap: int) -> list[tuple[int, ...]]:
@@ -365,6 +313,19 @@ def star_costar_free(g: Graph, p: int, q: int) -> bool:
     )
 
 
+def _star_costar_candidates(g: Graph, p: int, q: int) -> Iterator[int]:
+    """The T side of a (q-1,p-1)-split partition of G[N[0]] united with the S
+    side of one of the rest."""
+    closed = g.rows[0] | 1
+    parts_in = pq_split_partition_masks(g, q - 1, p - 1, closed)
+    if not parts_in:
+        return
+    parts_out = pq_split_partition_masks(g, q - 1, p - 1, g.full_mask() & ~closed)
+    for _s1, t1 in parts_in:
+        for s2, _t2 in parts_out:
+            yield t1 | s2
+
+
 def upper_star_costar(g: Graph, p: int, q: int) -> VertexSet | None:
     """A with S(g,A) {K_{1,p}, co-K_{1,q}}-free, for p,q >= 2."""
     if p < 2 or q < 2:
@@ -373,25 +334,9 @@ def upper_star_costar(g: Graph, p: int, q: int) -> VertexSet | None:
         raise TooLarge(f"upper star/co-star capped at n <= {ORACLE_CAP}, got {g.n}")
     if star_costar_free(g, p, q):
         return VertexSet(g.n, 0)
-    u = 0
-    closed = g.rows[u] | 1 << u
-    inside = induced(g, closed)
-    outside_mask = g.full_mask() & ~closed
-    outside = induced(g, outside_mask)
-    parts_in = pq_split_partition_masks(inside, q - 1, p - 1)
-    if not parts_in:
-        return None
-    parts_out = pq_split_partition_masks(outside, q - 1, p - 1)
-    if not parts_out:
-        return None
-    iverts = bits_of(closed)
-    overts = bits_of(outside_mask)
-    for _s1, t1 in parts_in:
-        for s2, _t2 in parts_out:
-            a = _lift(iverts, t1) | _lift(overts, s2)
-            if star_costar_free(switch(g, a), p, q):
-                return _vs(g, a)
-    return None
+    return _first_switch(
+        g, lambda h: star_costar_free(h, p, q), _star_costar_candidates(g, p, q)
+    )
 
 
 # -- bipartite chain -------------------------------------------------------

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from switchkit.errors import SizeMismatch
 from switchkit.canonical import canonical_form
-from switchkit.graph import Graph, VertexSet, complement, induced, is_module, switch
+from switchkit.graph import (
+    Graph,
+    VertexSet,
+    bits_of,
+    complement,
+    induced,
+    is_module,
+    switch,
+)
 from switchkit.patterns import complete_graph, cycle_graph, path_graph, pattern
 
 
@@ -176,3 +184,16 @@ class TestDensityIdentity:
             total = g.edge_count() + s.edge_count()
             assert total == 2 * inside + half * (n - half)
             assert total >= half * (n - half)
+
+
+def test_components_of_mask_equal_lifted_induced(atlas_by_order):
+    for n in range(7):
+        for g in atlas_by_order[n]:
+            for mask in range(1 << n):
+                verts = bits_of(mask)
+                want = [
+                    sum(1 << verts[i] for i in bits_of(comp))
+                    for comp in induced(g, mask).components()
+                ]
+                assert g.components(mask) == want, (g.edges(), mask)
+            assert g.components(g.full_mask()) == g.components()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from switchkit.errors import TooLarge
-from switchkit.graph import Graph, bits_of, complement
+from switchkit.graph import Graph, bits_of, complement, induced
 from switchkit.patterns import complete_graph, cycle_graph, path_graph, pattern
 from switchkit.search import is_free
 from switchkit.split import (
@@ -167,7 +167,36 @@ class TestPqSplit:
     def test_cap(self):
         with pytest.raises(TooLarge):
             pq_split_partition_masks(Graph.empty(23), 1, 2)
+        # the cap counts the vertices of the mask, not of the host graph
+        big = Graph.empty(30)
+        got = pq_split_partition_masks(big, 1, 2, 0b111)
+        assert got == pq_split_partition_masks(Graph.empty(3), 1, 2)
+        with pytest.raises(TooLarge):
+            pq_split_partition_masks(big, 1, 2, (1 << 23) - 1)
 
     def test_partition_objects(self):
         parts = pq_split_partitions(path_graph(3), 1, 1)
         assert parts and all(p.p == 1 and p.q == 1 for p in parts)
+
+
+def test_mask_forms_equal_lifted_induced(atlas_by_order):
+    """On G[mask] in host labels, both enumerators return the result on
+    induced(g, mask) lifted back, in the same order."""
+    for n in range(7):
+        for g in atlas_by_order[n]:
+            for mask in range(1 << n):
+                verts = bits_of(mask)
+                sub = induced(g, mask)
+
+                def lifted(parts):
+                    return [
+                        tuple(sum(1 << verts[i] for i in bits_of(x)) for x in part)
+                        for part in parts
+                    ]
+
+                got = all_split_partition_masks(g, mask)
+                assert got == lifted(all_split_partition_masks(sub)), (g.edges(), mask)
+                for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                    got = pq_split_partition_masks(g, p, q, mask)
+                    want = lifted(pq_split_partition_masks(sub, p, q))
+                    assert got == want, (g.edges(), mask, p, q)

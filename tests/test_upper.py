@@ -1,5 +1,6 @@
 """Upper switching class algorithms vs the brute-force oracle."""
 
+import hashlib
 import random
 import zlib
 
@@ -111,7 +112,12 @@ class TestWitnessExamples:
 
     def test_caps(self):
         big = Graph.empty(23)
-        for func in (upper_paw_free, upper_bipartite, upper_triangle_free):
+        for func in (
+            upper_paw_free,
+            upper_bipartite,
+            upper_triangle_free,
+            lambda g: upper_star_costar(g, 2, 2),
+        ):
             with pytest.raises(TooLarge):
                 func(big)
 
@@ -181,3 +187,92 @@ class TestSoundnessRandom:
                 got = alg(g)
                 if got is not None:
                     assert pred(switch(g, got)), (name, g.edges())
+
+
+# -- library witness digest ----------------------------------------------------
+
+DIGEST_TARGETS = (
+    "split",
+    "pseudo-split",
+    "paw-free",
+    "bipartite",
+    "bipartite-chain",
+    "star-costar",
+    "star-costar-3-3",
+)
+
+
+def _planted(rng: random.Random, target: str, n: int) -> Graph:
+    """A member of ``target`` on n vertices, relabelled and switched at random."""
+    edges = []
+    if target in ("split", "pseudo-split"):
+        h = 5 if target == "pseudo-split" and rng.random() < 0.5 else 0
+        k = rng.randint(0, n - h)
+        edges += [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges += [
+            (u, v) for u in range(k) for v in range(k, n - h) if rng.random() < 0.5
+        ]
+        if h:  # a C5 complete to the clique side
+            edges += [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
+            edges += [(u, v) for u in range(k) for v in range(n - 5, n)]
+    elif target in ("bipartite", "bipartite-chain"):
+        m = rng.randint(1, n - 1)
+        for u in range(m):
+            if target == "bipartite":
+                edges += [(u, v) for v in range(m, n) if rng.random() < 0.5]
+            else:  # nested neighbourhoods m..t-1
+                edges += [(u, v) for v in range(m, rng.randint(m, n))]
+    elif target == "paw-free":  # complete tripartite plus a bipartite component
+        m = rng.randint(0, n)
+        part = [rng.randrange(3) for _ in range(m)]
+        edges += [
+            (u, v) for u in range(m) for v in range(u + 1, m) if part[u] != part[v]
+        ]
+        edges += [
+            (u, v)
+            for u in range(m, n)
+            for v in range(m, n)
+            if u % 2 < v % 2 and rng.random() < 0.5
+        ]
+    elif target == "star-costar":  # p = q = 2: complete or edgeless
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in range(n) for v in range(u + 1, n)]
+    else:  # p = q = 3: a cycle is claw-free and triangle-free
+        edges += [(i, (i + 1) % n) for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return switch(g, [v for v in range(n) if rng.random() < 0.5])
+
+
+def test_library_witness_digest():
+    """Every table algorithm, both enumerators and star/co-star at p = q = 3
+    on seeded planted members and random graphs of orders 7-12: the sha256 of
+    (name, rows, answer) is pinned, so a refactor keeps every witness."""
+    calls = []
+    for name, c in upper_classes().items():
+        if c.algorithm:
+            calls.append((name, c.algorithm))
+        if c.enumerator:
+            calls.append((name + " enumerate", c.enumerator))
+    calls.append(("star-costar-3-3", lambda g: upper_star_costar(g, 3, 3)))
+    by_name = dict(calls)
+    rng = random.Random(20241)
+    digest = hashlib.sha256()
+    for n in range(7, 13):
+        for target in DIGEST_TARGETS:
+            planted = _planted(rng, target, n)
+            assert by_name[target](planted) is not None, (target, planted.edges())
+            density = rng.choice((0.3, 0.5, 0.7))
+            other = random_graph(rng, n, density)
+            for g in (planted, other):
+                for name, fn in calls:
+                    got = fn(g)
+                    if isinstance(got, list):
+                        answer = [a.mask for a in got]
+                    else:
+                        answer = None if got is None else got.mask
+                    digest.update(repr((name, g.rows, answer)).encode())
+    assert digest.hexdigest() == (
+        "ab60a914f2663cc0efe7ecd8ef7f027a243e9e6fbb71d6226d083c9d2bb938f0"
+    )
