@@ -22,7 +22,7 @@ from .canonical import c5_switching_forms, canonical_form
 from .graph import Graph, complement
 from .oracle import Predicate, oracle_lower
 from .patterns import cycle_graph, pattern
-from .profiles import Profile, ProfileEntry, match_profile_family
+from .profiles import Profile, ProfileEntry, _first_family_match
 from .reference import (
     is_bipartite,
     is_block_graph,
@@ -101,17 +101,13 @@ def is_c0_member(g: Graph) -> Profile | None:
     """Matched concrete profile among the eight families, else None."""
     if g.n == 0:
         return ()
-    for fam in C0_FAMILIES:
-        got = match_profile_family(g, fam)
-        if got is not None:
-            return got
-    return None
+    return _first_family_match(g, C0_FAMILIES)
 
 
 def is_block_lower(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return any(match_profile_family(g, fam) is not None for fam in BLOCK_PROFILES)
+    return _first_family_match(g, BLOCK_PROFILES) is not None
 
 
 def _in_s_c5(g: Graph) -> bool:
@@ -123,7 +119,7 @@ def is_line_lower(g: Graph) -> bool:
         return True
     if _in_s_c5(g):
         return True
-    return any(match_profile_family(g, fam) is not None for fam in LINE_PROFILES)
+    return _first_family_match(g, LINE_PROFILES) is not None
 
 
 def is_lower_outerplanar(g: Graph) -> bool:

@@ -157,6 +157,57 @@ def _component_match(prof: Profile, fam: tuple[ProfileEntry, ...]) -> Profile | 
     return None
 
 
+def _family_parts(fam: Sequence[ProfileEntry]) -> list[tuple[ProfileEntry, ...]]:
+    """The zero-free runs of the normalised family, one per component."""
+    parts: list[tuple[ProfileEntry, ...]] = []
+    cur: list[ProfileEntry] = []
+    for e in normalize_profile(fam):
+        if e == 0:
+            parts.append(tuple(cur))
+            cur = []
+        else:
+            cur.append(e)
+    parts.append(tuple(cur))
+    return parts
+
+
+def _first_family_match(
+    g: Graph, families: Sequence[Sequence[ProfileEntry]]
+) -> Profile | None:
+    """The instantiation of the first family in ``families`` isomorphic to g,
+    or None; g's components and their profiles are computed at most once."""
+    comps = g.components()
+    comp_profs: list[Profile] | None = None
+    for fam in families:
+        parts = _family_parts(fam)
+        if parts == [()]:
+            if g.n == 0:
+                return ()
+            continue
+        if not all(parts) or len(comps) != len(parts):
+            continue
+        if comp_profs is None:
+            comp_profs = _component_profiles(g, comps)
+            if comp_profs is None:
+                return None
+        # small bijection search; component counts here never exceed a handful
+        for order in permutations(range(len(comps))):
+            oriented: list[Profile] = []
+            for part, idx in zip(parts, order):
+                fit = _component_match(comp_profs[idx], part)
+                if fit is None:
+                    break
+                oriented.append(fit)
+            else:
+                out: list[int] = []
+                for fit in oriented:
+                    if out:
+                        out.append(0)
+                    out.extend(fit)
+                return tuple(out)
+    return None
+
+
 def match_profile_family(
     g: Graph, fam: Sequence[ProfileEntry]
 ) -> Profile | None:
@@ -165,42 +216,7 @@ def match_profile_family(
     The returned profile is shaped like the family (component order and
     orientation chosen to satisfy it entrywise).
     """
-    fam = normalize_profile(fam)
-    fam_parts: list[tuple[ProfileEntry, ...]] = []
-    cur: list[ProfileEntry] = []
-    for e in fam:
-        if e == 0:
-            fam_parts.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(e)
-    fam_parts.append(tuple(cur))
-    if fam_parts == [()]:
-        return () if g.n == 0 else None
-    if any(not p for p in fam_parts):
-        return None
-    comps = g.components()
-    if len(comps) != len(fam_parts):
-        return None
-    comp_profs = _component_profiles(g, comps)
-    if comp_profs is None:
-        return None
-    # small bijection search; component counts here never exceed a handful
-    for order in permutations(range(len(comps))):
-        oriented: list[Profile] = []
-        for part, idx in zip(fam_parts, order):
-            fit = _component_match(comp_profs[idx], part)
-            if fit is None:
-                break
-            oriented.append(fit)
-        else:
-            out: list[int] = []
-            for fit in oriented:
-                if out:
-                    out.append(0)
-                out.extend(fit)
-            return tuple(out)
-    return None
+    return _first_family_match(g, (fam,))
 
 
 def matches_profile_family(g: Graph, fam: Sequence[ProfileEntry]) -> bool:

@@ -114,13 +114,28 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
+def _complete_multipartite_on(g: Graph, mask: int) -> bool:
+    """G[mask] has no induced K2+K1: non-adjacency within mask is an
+    equivalence relation, whose classes are the parts."""
+    todo = mask
+    while todo:
+        part = mask & ~g.rows[(todo & -todo).bit_length() - 1]
+        for u in bits_of(part):
+            if mask & ~g.rows[u] != part:
+                return False
+        todo &= ~part
+    return True
+
+
 def is_complete_multipartite(g: Graph) -> bool:
     """No induced K2+K1: every co-component is an independent set."""
-    return is_free(g, pattern("k2+k1"))
+    return _complete_multipartite_on(g, g.full_mask())
 
 
 def is_paw_free(g: Graph) -> bool:
-    return is_free(g, pattern("paw"))
+    """A paw is K1 joined to K2+K1, so g is paw-free iff every neighbourhood
+    induces a complete multipartite graph."""
+    return all(_complete_multipartite_on(g, row) for row in g.rows)
 
 
 def is_comparability(g: Graph) -> bool:

@@ -19,12 +19,18 @@ instead of relabelled induced subgraphs.  One verifier, ``_first_switch``
 tests the target class and normalises the witness: the algorithmic steps
 are filters, never trusted proofs.
 
-Cited-but-absent subroutines are exact desk-scale stand-ins behind the same
-contracts, capped at 22 vertices: upper triangle-free and upper
-complete-multipartite are the brute-force oracle over all 2^(n-1)
-switches, upper bipartite scans all 2^(n-1) halvings of the vertex set, and
-the (p,q)-split partitions behind upper star/co-star come from a branching
-enumeration.
+Upper triangle-free, complete multipartite and bipartite (and through them
+paw-free and bipartite chain) start from vertex isolation: switching g at
+N(0) gives G0 with vertex 0 isolated, and every switch H of g is S(G0, B)
+for exactly one B without vertex 0, B = N_H(0).  Complete multipartite then
+has one candidate B.  For triangle-free (Hayward 1996, "Recognizing
+P3-structure: a switching approach") and bipartite (Hage, Harju & Welzl
+2003, "Euler graphs, triangle-free graphs and bipartite graphs in switching
+classes") the candidates are B = {} and, for each guessed w in B, the
+solution of one 2-SAT instance: O(n) instances of O(n^2) clauses each.
+
+The (p,q)-split partitions behind upper star/co-star still come from a
+branching enumeration, an exact desk-scale stand-in capped at 22 vertices.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .canonical import c5_switching_forms, canonical_form
 from .errors import TooLarge
 from .graph import Graph, VertexSet, bits_of, complement, induced, switch
-from .oracle import ORACLE_CAP, Predicate, normalize_mask, oracle_upper
+from .oracle import ORACLE_CAP, Predicate, normalize_mask
 from .patterns import complete_graph, cycle_graph, disjoint_union, edgeless_graph, pattern, star_graph
 from .reference import (
-    complete_bipartite_sides,
     is_bipartite,
     is_complete_multipartite,
     is_paw_free,
@@ -195,35 +200,179 @@ def enumerate_upper_pseudo_split(g: Graph) -> list[VertexSet]:
     return [VertexSet(g.n, m) for m in sorted(sols)]
 
 
-# -- desk-scale stand-ins ------------------------------------------------
+# -- isolation and 2-SAT -----------------------------------------------------
+
+
+def _isolated(g: Graph) -> tuple[int, Graph]:
+    """N(0) and G0 = S(g, N(0)), the switch in which vertex 0 is isolated.
+
+    Every switch H of g equals S(G0, B) for exactly one B without vertex 0,
+    namely B = N_H(0), and then H = S(g, N(0) ^ B).
+    """
+    nbrs = g.rows[0] if g.n else 0
+    return nbrs, switch(g, nbrs)
+
+
+Implications = list[tuple[tuple[int, int], tuple[int, int]]]
+
+
+def _propagate(implied: Implications, t: int, f: int, nt: int, nf: int) -> tuple[int, int] | None:
+    """Close the partial assignment (t true, f false) after setting the
+    variables in nt true and those in nf false; None on a conflict."""
+    while nt or nf:
+        t |= nt
+        f |= nf
+        if t & f:
+            return None
+        at = af = 0
+        for v in bits_of(nt):
+            vt, vf = implied[v][1]
+            at |= vt
+            af |= vf
+        for v in bits_of(nf):
+            vt, vf = implied[v][0]
+            at |= vt
+            af |= vf
+        nt, nf = at & ~t, af & ~f
+    return t, f
+
+
+def _two_sat(free: int, implied: Implications, t: int = 0, f: int = 0) -> int | None:
+    """The variables set true in a solution of a 2-SAT instance, or None.
+
+    The variables are the bits of ``free``; those in t start true and those
+    in f false.  ``implied[v][value]`` is the pair (trues, falses) of
+    variable masks forced by setting v to value; it must hold each
+    2-clause's two implications.  Even, Itai & Shamir's propagation: try one
+    value of an open variable, fall back to the other on a conflict, and
+    give up when both conflict.
+    """
+    got = _propagate(implied, 0, 0, t, f)
+    for v in bits_of(free):
+        if got is None:
+            return None
+        t, f = got
+        if not (t | f) >> v & 1:
+            got = _propagate(implied, t, f, 1 << v, 0) or _propagate(implied, t, f, 0, 1 << v)
+    return None if got is None else got[0]
+
+
+# -- triangle-free, complete multipartite, bipartite ---------------------------
+
+
+def _forced_by_edges_in(rows: tuple[int, ...], y: int, x: int) -> tuple[int, int] | None:
+    """For the edges of G0[Y]: the vertices of X seeing both ends (forced into
+    B) and those seeing neither (forced out), or None if G0[Y] has a triangle."""
+    t = f = 0
+    for y1 in bits_of(y):
+        for y2 in bits_of(rows[y1] & y & ~((2 << y1) - 1)):
+            both = rows[y1] & rows[y2]
+            if both & y:
+                return None
+            t |= both & x
+            f |= x & ~(rows[y1] | rows[y2])
+    return t, f
+
+
+def _triangle_free_candidates(g: Graph) -> Iterator[int]:
+    """B = {} and, for each guessed w in B, the B that 2-SAT finds.
+
+    With w in B, B is independent in G0, so Y = N_G0(w) lies outside B, and
+    the vertices of X = V - 0 - Y outside B must be independent (they are
+    neighbours of w in S(G0,B)).  A triangle of S(G0,B) avoiding 0 is then a
+    triangle of G0[Y], a vertex outside B seeing both ends of an edge of
+    G0[Y], or a vertex of B seeing neither end of an edge of G0 outside B.
+    """
+    nbrs, g0 = _isolated(g)
+    rows = g0.rows
+    yield nbrs
+    rest = g0.full_mask() & ~1
+    for w in bits_of(rest):
+        y = rows[w]
+        x = rest & ~y & ~(1 << w)
+        forced = _forced_by_edges_in(rows, y, x)
+        if forced is None:
+            continue
+        # v of X outside B, with a neighbour y in Y, keeps out of B every
+        # vertex of X that sees neither v nor y
+        keeps_out = [0] * g.n
+        pulls_in = [0] * g.n
+        for v in bits_of(x):
+            ys = rows[v] & y
+            if ys:
+                common = rest
+                for u in bits_of(ys):
+                    common &= rows[u]
+                keeps_out[v] = x & ~rows[v] & ~(1 << v) & ~common
+                for u in bits_of(keeps_out[v]):
+                    pulls_in[u] |= 1 << v
+        # an edge inside X has exactly one end in B
+        implied = [((0, 0), (0, 0))] * g.n
+        for v in bits_of(x):
+            edges = rows[v] & x
+            implied[v] = ((edges, keeps_out[v]), (pulls_in[v], edges))
+        b = _two_sat(x, implied, *forced)
+        if b is not None:
+            yield nbrs ^ b ^ 1 << w
 
 
 def upper_triangle_free(g: Graph) -> VertexSet | None:
-    return oracle_upper(g, is_triangle_free)
+    """A with S(g,A) triangle-free, or None (Hayward 1996; Hage, Harju &
+    Welzl 2003): isolate vertex 0, then one 2-SAT per guessed neighbour of 0."""
+    if is_triangle_free(g):
+        return VertexSet(g.n, 0)
+    return _first_switch(g, is_triangle_free, _triangle_free_candidates(g))
 
 
 def upper_complete_multipartite(g: Graph) -> VertexSet | None:
-    return oracle_upper(g, is_complete_multipartite)
+    """A with S(g,A) complete multipartite, or None.
+
+    S(G0,B) is complete multipartite with vertex 0 seeing B exactly when the
+    rest of V - 0, the part of vertex 0, is isolated in G0 and G0[B] is
+    complete multipartite.  So B = the vertices of G0 - 0 with a neighbour
+    is the one candidate: it is the smallest B allowed, and an induced
+    subgraph of a complete multipartite graph is one.
+    """
+    if is_complete_multipartite(g):
+        return VertexSet(g.n, 0)
+    nbrs, g0 = _isolated(g)
+    b = 0
+    for v in range(1, g.n):
+        if g0.rows[v]:
+            b |= 1 << v
+    return _first_switch(g, is_complete_multipartite, (nbrs ^ b,))
 
 
 def _bipartite_candidates(g: Graph) -> Iterator[int]:
-    full = g.full_mask()
-    for half in range(1 << max(g.n - 1, 0)):
-        x = half << 1 | 1
-        sides_x = complete_bipartite_sides(g, x)
-        if sides_x is None:
-            continue
-        sides_y = complete_bipartite_sides(g, full & ~x)
-        if sides_y is None:
-            continue
-        yield sides_x[0] | sides_y[0]
+    """B = {} and, for each guessed w in B, the B that 2-SAT finds.
+
+    Colour vertex 0 with 0; then B, its neighbourhood, has colour 1, and with
+    w in B a non-neighbour of w in G0 is in B or has colour 0 outside B, and
+    a neighbour of w has either colour outside B.  One variable per vertex,
+    true for colour 1, and one 2-clause per pair and colour that would put
+    an edge inside a colour class.
+    """
+    nbrs, g0 = _isolated(g)
+    rows = g0.rows
+    yield nbrs
+    rest = g0.full_mask() & ~1
+    for w in bits_of(rest):
+        free = rest & ~(1 << w)
+        m = free & ~rows[w]  # true means "in B" for these
+        implied = [((0, 0), (0, 0))] * g.n
+        for u in bits_of(free):
+            # both colour 0: adjacent iff adjacent in G0; both colour 1:
+            # adjacent iff the G0 edge is flipped by exactly one end in B
+            same1 = rows[u] ^ m ^ (free if m >> u & 1 else 0)
+            implied[u] = ((rows[u] & free, 0), (0, same1 & free & ~(1 << u)))
+        t = _two_sat(free, implied)
+        if t is not None:
+            yield nbrs ^ (t & m) ^ 1 << w
 
 
 def upper_bipartite(g: Graph) -> VertexSet | None:
-    """A with S(g,A) bipartite, via: such an A exists iff V splits into two
-    complete-bipartite-inducing halves; A is one side of each half."""
-    if g.n > ORACLE_CAP:
-        raise TooLarge(f"upper bipartite capped at n <= {ORACLE_CAP}, got {g.n}")
+    """A with S(g,A) bipartite, or None (Hage, Harju & Welzl 2003): isolate
+    vertex 0, then one 2-SAT per guessed neighbour of 0."""
     if is_bipartite(g):
         return VertexSet(g.n, 0)
     return _first_switch(g, is_bipartite, _bipartite_candidates(g))
@@ -286,12 +435,12 @@ def _paw_free_candidates(g: Graph) -> Iterator[int]:
 
 
 def upper_paw_free(g: Graph) -> VertexSet | None:
-    if g.n > ORACLE_CAP:
-        raise TooLarge(f"upper paw-free capped at n <= {ORACLE_CAP}, got {g.n}")
+    """A with S(g,A) paw-free, or None: g itself, an upper triangle-free or
+    upper complete multipartite witness, then the paw candidates."""
     if is_paw_free(g):
         return VertexSet(g.n, 0)
-    for stand_in in (upper_triangle_free, upper_complete_multipartite):
-        got = stand_in(g)
+    for part in (upper_triangle_free, upper_complete_multipartite):
+        got = part(g)
         if got is not None:
             return got
     return _first_switch(g, is_paw_free, _paw_free_candidates(g))

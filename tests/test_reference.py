@@ -23,6 +23,7 @@ from switchkit.reference import (
     is_line_graph,
     is_meyniel,
     is_outerplanar,
+    is_paw_free,
     is_threshold,
     is_triangle_free,
     is_weakly_chordal,
@@ -102,6 +103,13 @@ class TestBipartiteFamilyChecks:
                 continue
             want = is_free(g, k3) and is_free(g, k2k1)
             assert is_complete_bipartite(g) == want, g.edges()
+
+    def test_bitmask_freeness_equals_pattern_search(self, graphs_up_to_7):
+        k2k1 = pattern("k2+k1")
+        for g in graphs_up_to_7:
+            assert is_complete_multipartite(g) == is_free(g, k2k1), g.edges()
+            assert is_paw_free(g) == is_free(g, pattern("paw")), g.edges()
+            assert is_triangle_free(g) == is_free(g, complete_graph(3)), g.edges()
 
     def test_bipartite_basics(self):
         assert is_bipartite(cycle_graph(6))

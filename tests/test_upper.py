@@ -10,7 +10,12 @@ from switchkit.errors import TooLarge
 from switchkit.graph import Graph, switch
 from switchkit.oracle import oracle_upper, oracle_upper_all
 from switchkit.patterns import complete_graph, cycle_graph, path_graph, pattern
-from switchkit.reference import is_paw_free
+from switchkit.reference import (
+    is_bipartite,
+    is_complete_multipartite,
+    is_paw_free,
+    is_triangle_free,
+)
 from switchkit.split import is_pseudo_split, is_split, split_partitions
 from switchkit.upper import (
     enumerate_upper_pseudo_split,
@@ -66,7 +71,7 @@ class TestWitnessExamples:
 
     def test_triangle_free_k3(self):
         got = upper_triangle_free(complete_graph(3))
-        assert got is not None and sorted(got) == [1]
+        assert got is not None and is_triangle_free(switch(complete_graph(3), got))
 
     def test_bipartite_c5_yields_p4_plus_k1(self):
         from switchkit.canonical import canonical_form
@@ -111,15 +116,22 @@ class TestWitnessExamples:
         assert is_bipartite_chain(complete_bipartite_graph(2, 3))
 
     def test_caps(self):
-        big = Graph.empty(23)
-        for func in (
-            upper_paw_free,
-            upper_bipartite,
-            upper_triangle_free,
-            lambda g: upper_star_costar(g, 2, 2),
+        with pytest.raises(TooLarge):
+            upper_star_costar(Graph.empty(23), 2, 2)
+
+    def test_uncapped_on_planted_order_40(self):
+        rng = random.Random(40)
+        for target, alg, pred in (
+            ("paw-free", upper_paw_free, is_paw_free),
+            ("bipartite", upper_bipartite, is_bipartite),
+            ("bipartite-chain", upper_bipartite_chain, is_bipartite_chain),
+            ("triangle-free", upper_triangle_free, is_triangle_free),
+            ("complete-multipartite", upper_complete_multipartite, is_complete_multipartite),
         ):
-            with pytest.raises(TooLarge):
-                func(big)
+            for _ in range(3):
+                g = _planted(rng, target, 40)
+                w = alg(g)
+                assert w is not None and pred(switch(g, w)), (target, g.edges())
 
 
 @pytest.mark.parametrize("name,alg,pred", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
@@ -131,6 +143,26 @@ def test_oracle_equivalence_n_le_6(atlas_by_order, name, alg, pred):
             assert (got is None) == (want is None), (name, g.edges())
             if got is not None:
                 assert pred(switch(g, got)), (name, g.edges())
+
+
+ISOLATION_ALGORITHMS = [
+    (upper_triangle_free, is_triangle_free),
+    (upper_complete_multipartite, is_complete_multipartite),
+    (upper_bipartite, is_bipartite),
+    (upper_paw_free, is_paw_free),
+]
+
+
+@pytest.mark.parametrize(
+    "alg,pred", ISOLATION_ALGORITHMS, ids=[a.__name__ for a, _ in ISOLATION_ALGORITHMS]
+)
+def test_oracle_equivalence_order_8(reps8, alg, pred):
+    for g in reps8:
+        got = alg(g)
+        want = oracle_upper(g, pred)
+        assert (got is None) == (want is None), g.edges()
+        if got is not None:
+            assert pred(switch(g, got)), g.edges()
 
 
 @pytest.mark.parametrize("name,alg,pred", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
@@ -234,6 +266,20 @@ def _planted(rng: random.Random, target: str, n: int) -> Graph:
             for v in range(m, n)
             if u % 2 < v % 2 and rng.random() < 0.5
         ]
+    elif target == "triangle-free":  # random edges, each kept if it closes no triangle
+        nbrs = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.5 and not nbrs[u] & nbrs[v]:
+                    nbrs[u] |= 1 << v
+                    nbrs[v] |= 1 << u
+                    edges.append((u, v))
+    elif target == "complete-multipartite":
+        k = rng.randint(1, n)
+        part = [rng.randrange(k) for _ in range(n)]
+        edges += [
+            (u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]
+        ]
     elif target == "star-costar":  # p = q = 2: complete or edgeless
         if rng.random() < 0.5:
             edges += [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -248,7 +294,11 @@ def _planted(rng: random.Random, target: str, n: int) -> Graph:
 def test_library_witness_digest():
     """Every table algorithm, both enumerators and star/co-star at p = q = 3
     on seeded planted members and random graphs of orders 7-12: the sha256 of
-    (name, rows, answer) is pinned, so a refactor keeps every witness."""
+    (name, rows, answer) is pinned, so a refactor keeps every witness.
+
+    Re-pinned when paw-free, bipartite and bipartite chain moved to the
+    vertex-isolation 2-SAT streams: only those three names' witnesses
+    changed, and every yes/no answer stayed the same."""
     calls = []
     for name, c in upper_classes().items():
         if c.algorithm:
@@ -274,5 +324,5 @@ def test_library_witness_digest():
                         answer = None if got is None else got.mask
                     digest.update(repr((name, g.rows, answer)).encode())
     assert digest.hexdigest() == (
-        "ab60a914f2663cc0efe7ecd8ef7f027a243e9e6fbb71d6226d083c9d2bb938f0"
+        "202ec5edbbd462ee6b26811a138b83fdbb0f51361e02fc116423454855b78041"
     )
