@@ -20,12 +20,10 @@ Capped at n <= 10: nothing in this artifact needs isomorphism beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .errors import SizeMismatch, TooLarge
 from .graph import Graph, VertexSet, bits_of, switch
-from .oracle import oracle_upper
-from .patterns import cycle_graph
 
 CANONICAL_CAP = 10
 
@@ -170,12 +168,6 @@ def switching_class(g: Graph) -> SwitchingClass:
     return SwitchingClass(g.n, members)
 
 
-@cache
-def c5_switching_forms() -> frozenset[CanonicalForm]:
-    """Forms of S(C5): the switches of the five-cycle, up to isomorphism."""
-    return frozenset(switching_class(cycle_graph(5)).members)
-
-
 def are_switching_equivalent(g: Graph, h: Graph) -> bool:
     """Whether h is isomorphic to some switch of g.
 
@@ -197,8 +189,9 @@ def are_switching_equivalent(g: Graph, h: Graph) -> bool:
 
 def switching_witness(g: Graph, h: Graph) -> VertexSet | None:
     """The A avoiding vertex 0 with S(g, A) == h exactly (not up to
-    isomorphism), else None.  It is unique, since S(g, A) == S(g, B) only
-    when B is A or V - A."""
+    isomorphism), else None.  Vertex 0 sees N_g(0) ^ A in S(g, A), so
+    A = N_g(0) ^ N_h(0) is the one candidate."""
     if g.n != h.n:
         raise SizeMismatch(f"orders differ: {g.n} vs {h.n}")
-    return oracle_upper(g, h.__eq__)
+    a = g.rows[0] ^ h.rows[0] if g.n else 0
+    return VertexSet(g.n, a) if switch(g, a) == h else None

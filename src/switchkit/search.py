@@ -7,6 +7,7 @@ BudgetExceeded rather than returning a wrong "absent".
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -17,10 +18,11 @@ from .graph import Graph, VertexSet, bits_of, induced
 DEFAULT_BUDGET = 10**9
 
 
-def _embedding_order(h: Graph) -> list[int]:
+@lru_cache(maxsize=1 << 10)
+def _embedding_order(h: Graph) -> tuple[int, ...]:
     """Order pattern vertices so each one touches the already-placed prefix."""
     if h.n == 0:
-        return []
+        return ()
     remaining = set(range(h.n))
     start = max(remaining, key=lambda v: (h.degree(v), -v))
     order = [start]
@@ -32,7 +34,7 @@ def _embedding_order(h: Graph) -> list[int]:
         nxt = max(remaining, key=lambda v: (placed_adj[v], h.degree(v), -v))
         order.append(nxt)
         remaining.remove(nxt)
-    return order
+    return tuple(order)
 
 
 def find_induced_embedding(g: Graph, h: Graph) -> tuple[int, ...] | None:

@@ -6,6 +6,12 @@ by at most one vertex on each side (clique-side difference sits inside an
 independent set and vice versa), so scanning single moves and swaps from the
 base finds every partition.
 
+Pseudo-split recognition reads the degrees too (Maffray & Preissmann 1994,
+"Linear recognition of pseudo-split graphs").  If a pseudo-split graph is
+not split, its five-cycle C has degree d = |K| + 2, the clique K at least
+|K| + 4 and the independent side at most |K|: C is the one class of five
+equal degrees with exactly d - 2 larger degrees, found without a search.
+
 The partition routines take an optional vertex mask and then work on G[mask]
 in g's own vertex labels: the result is that on ``induced(g, mask)``, lifted
 back, in the same order.
@@ -18,7 +24,6 @@ from itertools import combinations
 
 from .errors import TooLarge
 from .graph import Graph, VertexSet, bits_of, complement
-from .search import find_induced_cycle
 
 
 @dataclass(frozen=True)
@@ -113,28 +118,26 @@ def split_partitions(g: Graph) -> list[SplitPartition]:
 
 
 def pseudo_split_partition_masks(g: Graph) -> tuple[int, int, int] | None:
-    """(clique, independent, C5-middle) masks, or None if not pseudo-split."""
+    """(clique, independent, C5-middle) masks, or None if not pseudo-split.
+
+    The middle is unique when nonempty, and so are the masks."""
     base = _base_split_partition(g)
     if base is not None:
         return base[0], base[1], 0
-    cyc = find_induced_cycle(g, 5)
-    if cyc is None:
-        return None
-    hmask = 0
-    for v in cyc:
-        hmask |= 1 << v
-    k = i = 0
-    for v in bits_of(g.full_mask() & ~hmask):
-        nin = g.rows[v] & hmask
-        if nin == hmask:
-            k |= 1 << v
-        elif nin == 0:
-            i |= 1 << v
-        else:
-            return None
-    if not g.is_clique_mask(k) or not g.is_independent_mask(i):
-        return None
-    return k, i, hmask
+    deg = g.degrees()
+    for d in set(deg):
+        if deg.count(d) != 5:
+            continue
+        h = sum(1 << v for v, dv in enumerate(deg) if dv == d)
+        k = sum(1 << v for v, dv in enumerate(deg) if dv > d)
+        # a vertex of C, of degree |K| + 2, whose neighbours outside C are
+        # exactly K has two neighbours in C: C is then a five-cycle
+        if k.bit_count() != d - 2 or any(g.rows[v] & ~h != k for v in bits_of(h)):
+            continue
+        i = g.full_mask() & ~h & ~k
+        if g.is_clique_mask(k) and g.is_independent_mask(i):
+            return k, i, h
+    return None
 
 
 def is_pseudo_split(g: Graph) -> bool:

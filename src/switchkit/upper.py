@@ -15,9 +15,9 @@ groups, pick one partition of each group and switch at the union.  The
 streams work in the host graph's own vertex labels, restricting the split
 and (p,q)-split partition routines and the component search to vertex masks
 instead of relabelled induced subgraphs.  One verifier, ``_first_switch``
-(or ``_all_switches`` for the enumerators), switches at each candidate,
-tests the target class and normalises the witness: the algorithmic steps
-are filters, never trusted proofs.
+(or ``_all_switches`` for the enumerators), normalises each candidate,
+skips the ones already tried, switches at the rest and tests the target
+class: the algorithmic steps are filters, never trusted proofs.
 
 Upper triangle-free, complete multipartite and bipartite (and through them
 paw-free and bipartite chain) start from vertex isolation: switching g at
@@ -29,28 +29,37 @@ P3-structure: a switching approach") and bipartite (Hage, Harju & Welzl
 classes") the candidates are B = {} and, for each guessed w in B, the
 solution of one 2-SAT instance: O(n) instances of O(n^2) clauses each.
 
+Upper pseudo-split isolates each of the vertices 0..5 in turn.  If
+H = S(g, A) is pseudo-split but not split, with a five-cycle C complete to
+the clique K and anticomplete to the independent side, then for x outside C
+the switch G_x = S(g, N(x)) = S(H, N_H(x)) keeps C a module inducing a
+five-cycle (Ehrenfeucht, Harju & Rozenberg 1999, "The Theory of
+2-Structures").  C5 is prime, so C is the smallest module of G_x holding any
+two of its vertices.  With K' the vertices complete to C in G_x, H is
+S(G_x, K ^ K') up to complement, and S(G_x, K') - C is H - C switched at K,
+split with clique K: the candidates are N(x) ^ K' ^ k over its split
+partitions (k, .).  On five vertices C can be all of V; every set is tried.
+
 The (p,q)-split partitions behind upper star/co-star still come from a
 branching enumeration, an exact desk-scale stand-in capped at 22 vertices.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .canonical import c5_switching_forms, canonical_form
 from .errors import TooLarge
-from .graph import Graph, VertexSet, bits_of, complement, induced, switch
+from .graph import Graph, VertexSet, bits_of, complement, switch
 from .oracle import ORACLE_CAP, Predicate, normalize_mask
-from .patterns import complete_graph, cycle_graph, disjoint_union, edgeless_graph, pattern, star_graph
+from .patterns import complete_graph, disjoint_union, edgeless_graph, pattern, star_graph
 from .reference import (
     is_bipartite,
     is_complete_multipartite,
     is_paw_free,
     is_triangle_free,
 )
-from .search import find_induced_cycle, is_free
+from .search import is_free
 from .split import (
     all_split_partition_masks,
     _base_split_partition,
@@ -60,31 +69,29 @@ from .split import (
 )
 
 
+def _distinct(g: Graph, candidates: Iterable[int]) -> Iterator[int]:
+    """Each candidate once, normalised (A and V - A give the same switch)."""
+    seen: set[int] = set()
+    for a in candidates:
+        a = normalize_mask(g, a)
+        if a not in seen:
+            seen.add(a)
+            yield a
+
+
 def _first_switch(
     g: Graph, in_class: Predicate, candidates: Iterable[int]
 ) -> VertexSet | None:
     """The first candidate A with S(g,A) in the class, normalised, or None."""
-    for a in candidates:
+    for a in _distinct(g, candidates):
         if in_class(switch(g, a)):
-            return VertexSet(g.n, normalize_mask(g, a))
+            return VertexSet(g.n, a)
     return None
 
 
 def _all_switches(g: Graph, in_class: Predicate, candidates: Iterable[int]) -> set[int]:
     """Every candidate A with S(g,A) in the class, normalised."""
-    return {normalize_mask(g, a) for a in candidates if in_class(switch(g, a))}
-
-
-def _split_unions(g: Graph, base: int, kside: int, iside: int) -> Iterator[int]:
-    """base | K1 | I2 over the split partitions (K1, I1) of G[kside] and
-    (K2, I2) of G[iside]."""
-    parts_k = all_split_partition_masks(g, kside)
-    if not parts_k:
-        return
-    parts_i = all_split_partition_masks(g, iside)
-    for k1, _i1 in parts_k:
-        for _k2, i2 in parts_i:
-            yield base | k1 | i2
+    return {a for a in _distinct(g, candidates) if in_class(switch(g, a))}
 
 
 # -- split ---------------------------------------------------------------
@@ -100,7 +107,13 @@ def _split_candidates(g: Graph) -> Iterator[int]:
             common = g.rows[u] & g.rows[v]
             outside = full & ~(g.rows[u] | g.rows[v] | 1 << u | 1 << v)
             base = 1 << u | 1 << v | (g.rows[u] & ~g.rows[v] & ~(1 << v))
-            yield from _split_unions(g, base, common, outside)
+            # base | K1 | I2 over split partitions (K1, .) of G[common] and
+            # (., I2) of G[outside]
+            parts_k = all_split_partition_masks(g, common)
+            parts_i = all_split_partition_masks(g, outside) if parts_k else []
+            for k1, _i1 in parts_k:
+                for _k2, i2 in parts_i:
+                    yield base | k1 | i2
 
 
 def upper_split(g: Graph) -> VertexSet | None:
@@ -139,50 +152,41 @@ def enumerate_upper_split(g: Graph) -> list[VertexSet]:
 # -- pseudo-split --------------------------------------------------------
 
 
-@cache
-def _c5_orientations(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The sides B (|B| >= 3, as local vertex indices) with S(H, B) a plain
-    five-cycle, for the 5-vertex graph H with these rows.
-
-    These are exactly the admissible "switch-back" sides of a switching
-    equivalent of C5; the complement-of-B choice is covered elsewhere.  There
-    are 2^10 labelled 5-vertex graphs, so the cache stays small.
-    """
-    gh = Graph(5, rows)
-    if canonical_form(gh) not in c5_switching_forms():
-        return ()
-    c5 = canonical_form(cycle_graph(5))
-    return tuple(
-        tuple(bits_of(b))
-        for b in range(32)
-        if b.bit_count() >= 3 and canonical_form(switch(gh, b)) == c5
-    )
+def _module_closure(rows: tuple[int, ...], m: int) -> int:
+    """The smallest module holding m, or 0 once it passes five vertices:
+    add every vertex that sees some but not all of m until none is left."""
+    while m.bit_count() <= 5:
+        some, every = 0, -1
+        for v in bits_of(m):
+            some |= rows[v]
+            every &= rows[v]
+        splitters = some & ~every & ~m
+        if not splitters:
+            return m
+        m |= splitters
+    return 0
 
 
 def _pseudo_split_candidates(g: Graph) -> Iterator[int]:
-    """Candidates from a C5-switching-equivalent H and the two groups of
-    vertices seeing exactly one of its sides."""
+    """For x in 0..5 and each five-cycle module C of G_x = S(g, N(x)), with
+    K' the vertices complete to C: N(x) ^ K' ^ k for every split partition
+    (k, .) of S(G_x, K') - C.  On at most five vertices, every set."""
+    if g.n <= 5:
+        yield from range(1 << g.n)
+        return
     full = g.full_mask()
-    for combo in combinations(range(g.n), 5):
-        hmask = 0
-        for v in combo:
-            hmask |= 1 << v
-        for side in _c5_orientations(induced(g, hmask).rows):
-            h1 = 0
-            for i in side:
-                h1 |= 1 << combo[i]
-            h2 = hmask & ~h1
-            group1 = group2 = 0
-            for x in bits_of(full & ~hmask):
-                nin = g.rows[x] & hmask
-                if nin == h1:
-                    group1 |= 1 << x
-                elif nin == h2:
-                    group2 |= 1 << x
-                else:
-                    break
-            else:
-                yield from _split_unions(g, h1, group1, group2)
+    for x in range(6):
+        nbrs, gx = _isolated(g, x)
+        rows = gx.rows
+        pairs = combinations(bits_of(full & ~(1 << x)), 2)
+        for c in sorted({_module_closure(rows, 1 << u | 1 << v) for u, v in pairs}):
+            if c.bit_count() != 5 or any((rows[w] & c).bit_count() != 2 for w in bits_of(c)):
+                continue
+            kx = full & ~c
+            for w in bits_of(c):
+                kx &= rows[w]
+            for k, _i in all_split_partition_masks(switch(gx, kx), full & ~c):
+                yield nbrs ^ kx ^ k
 
 
 def upper_pseudo_split(g: Graph) -> VertexSet | None:
@@ -203,13 +207,13 @@ def enumerate_upper_pseudo_split(g: Graph) -> list[VertexSet]:
 # -- isolation and 2-SAT -----------------------------------------------------
 
 
-def _isolated(g: Graph) -> tuple[int, Graph]:
-    """N(0) and G0 = S(g, N(0)), the switch in which vertex 0 is isolated.
+def _isolated(g: Graph, x: int) -> tuple[int, Graph]:
+    """N(x) and G_x = S(g, N(x)), the switch in which vertex x is isolated.
 
-    Every switch H of g equals S(G0, B) for exactly one B without vertex 0,
-    namely B = N_H(0), and then H = S(g, N(0) ^ B).
+    Every switch H of g equals S(G_x, B) for exactly one B without vertex x,
+    namely B = N_H(x), and then H = S(g, N(x) ^ B).
     """
-    nbrs = g.rows[0] if g.n else 0
+    nbrs = g.rows[x] if g.n else 0
     return nbrs, switch(g, nbrs)
 
 
@@ -283,7 +287,7 @@ def _triangle_free_candidates(g: Graph) -> Iterator[int]:
     triangle of G0[Y], a vertex outside B seeing both ends of an edge of
     G0[Y], or a vertex of B seeing neither end of an edge of G0 outside B.
     """
-    nbrs, g0 = _isolated(g)
+    nbrs, g0 = _isolated(g, 0)
     rows = g0.rows
     yield nbrs
     rest = g0.full_mask() & ~1
@@ -335,7 +339,7 @@ def upper_complete_multipartite(g: Graph) -> VertexSet | None:
     """
     if is_complete_multipartite(g):
         return VertexSet(g.n, 0)
-    nbrs, g0 = _isolated(g)
+    nbrs, g0 = _isolated(g, 0)
     b = 0
     for v in range(1, g.n):
         if g0.rows[v]:
@@ -352,7 +356,7 @@ def _bipartite_candidates(g: Graph) -> Iterator[int]:
     true for colour 1, and one 2-clause per pair and colour that would put
     an edge inside a colour class.
     """
-    nbrs, g0 = _isolated(g)
+    nbrs, g0 = _isolated(g, 0)
     rows = g0.rows
     yield nbrs
     rest = g0.full_mask() & ~1
@@ -492,12 +496,10 @@ def upper_star_costar(g: Graph, p: int, q: int) -> VertexSet | None:
 
 
 def is_bipartite_chain(g: Graph) -> bool:
-    """Bipartite with nested neighborhoods: {C3, 2K2, C5}-free."""
-    return (
-        is_triangle_free(g)
-        and is_free(g, pattern("2k2"))
-        and find_induced_cycle(g, 5) is None
-    )
+    """Bipartite with nested neighborhoods: bipartite and 2K2-free.  (The
+    shortest odd cycle of a non-bipartite graph is induced: C3, C5, or a
+    longer odd hole, which holds a 2K2.)"""
+    return is_bipartite(g) and is_free(g, pattern("2k2"))
 
 
 def upper_bipartite_chain(g: Graph) -> VertexSet | None:

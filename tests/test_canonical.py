@@ -206,6 +206,17 @@ class TestSwitchingEquivalence:
         assert w is not None and sorted(w) == [1, 3, 4, 6, 7, 8]
         assert switching_witness(cycle_graph(4), path_graph(4)) is None
 
-    def test_witness_size_cap(self):
-        with pytest.raises(TooLarge):
-            switching_witness(Graph.empty(23), Graph.empty(23))
+    def test_witness_exact_at_order_40(self):
+        rng = random.Random(40)
+        g = random_graph(rng, 40, 0.5)
+        a = [v for v in range(1, 40) if rng.random() < 0.5]
+        h = switch(g, a)
+        w = switching_witness(g, h)
+        assert w is not None and sorted(w) == a
+        w = switching_witness(g, switch(g, [0]))
+        assert w is not None and sorted(w) == list(range(1, 40))
+        # flipping one edge of h leaves the switching class of g
+        rows = list(h.rows)
+        rows[38] ^= 1 << 39
+        rows[39] ^= 1 << 38
+        assert switching_witness(g, Graph(40, tuple(rows))) is None

@@ -77,10 +77,37 @@ class TestSplitPartitions:
                 assert p.k.mask & p.i.mask == 0
 
 
+def _pseudo_split_or_near(rng: random.Random, n: int) -> Graph:
+    """A pseudo-split graph on n vertices, with a C5 part half the time,
+    relabelled at random; half the time one vertex pair is then flipped."""
+    h = 5 if rng.random() < 0.5 else 0
+    k = rng.randint(0, n - h)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u, v) for u in range(k) for v in range(k, n - h) if rng.random() < 0.5]
+    if h:
+        edges += [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
+        edges += [(u, v) for u in range(k) for v in range(n - 5, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = list(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]).rows)
+    if rng.random() < 0.5:
+        u, v = rng.sample(range(n), 2)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Graph(n, tuple(rows))
+
+
 class TestPseudoSplit:
-    def test_forbidden_subgraph_equivalence(self, graphs_up_to_7):
+    def test_forbidden_subgraph_equivalence(self, graphs_up_to_7, reps8):
+        """The degree test equals the {2K2, C4}-free definition on every
+        graph of order <= 8 and on random and planted graphs of order 9-14."""
+        rng = random.Random(1994)
+        others = []
+        for n in range(9, 15):
+            others += [random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))) for _ in range(20)]
+            others += [_pseudo_split_or_near(rng, n) for _ in range(40)]
         forb = [pattern("2k2"), cycle_graph(4)]
-        for g in graphs_up_to_7:
+        for g in graphs_up_to_7 + reps8 + others:
             want = all(is_free(g, f) for f in forb)
             assert is_pseudo_split(g) == want, g.edges()
 

@@ -127,6 +127,7 @@ class TestWitnessExamples:
             ("bipartite-chain", upper_bipartite_chain, is_bipartite_chain),
             ("triangle-free", upper_triangle_free, is_triangle_free),
             ("complete-multipartite", upper_complete_multipartite, is_complete_multipartite),
+            ("pseudo-split", upper_pseudo_split, is_pseudo_split),
         ):
             for _ in range(3):
                 g = _planted(rng, target, 40)
